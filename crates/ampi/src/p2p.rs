@@ -270,7 +270,7 @@ impl Ampi {
             return true;
         }
         let outcomes = self.ctx.req_test(vec![req.id], false);
-        self.stash_recv_outcomes(&[(req.id, req.comm)], outcomes);
+        self.stash_recv_outcomes(&mut [(req.id, req.comm)], outcomes);
         self.state.borrow().reaped.contains_key(&req.id)
     }
 
@@ -324,8 +324,8 @@ impl Ampi {
                 .collect()
         };
         let outcomes = self.ctx.req_wait(todo, false, false);
-        let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
-        self.stash_recv_outcomes(&key, outcomes);
+        let mut key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
+        self.stash_recv_outcomes(&mut key, outcomes);
         reqs.into_iter()
             .map(|r| {
                 self.state
@@ -368,8 +368,8 @@ impl Ampi {
         let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
         let outcomes = self.ctx.req_wait(ids, true, false);
         let first = outcomes.first().map(|&(id, _)| id);
-        let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
-        self.stash_recv_outcomes(&key, outcomes);
+        let mut key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
+        self.stash_recv_outcomes(&mut key, outcomes);
         let first = first.expect("waitany must deliver at least one completion");
         let idx = reqs
             .iter()
@@ -388,9 +388,9 @@ impl Ampi {
         assert!(!reqs.is_empty(), "waitsome over an empty request set");
         if self.first_reaped_index(reqs).is_none() {
             let ids: Vec<u64> = reqs.iter().map(|r| r.id).collect();
-            let key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
+            let mut key: Vec<(u64, CommId)> = reqs.iter().map(|r| (r.id, r.comm)).collect();
             let outcomes = self.ctx.req_wait(ids, true, false);
-            self.stash_recv_outcomes(&key, outcomes);
+            self.stash_recv_outcomes(&mut key, outcomes);
         }
         let done: Vec<usize> = {
             let st = self.state.borrow();
@@ -490,17 +490,19 @@ impl Ampi {
 
     /// Decode reaped outcomes into the stash. `key` maps request ids to
     /// their communicators; send ids may appear in `outcomes` without a
-    /// key entry and stash as `None`.
+    /// key entry and stash as `None`. `key` is sorted in place once, so
+    /// each outcome's lookup is a binary search.
     fn stash_recv_outcomes(
         &self,
-        key: &[(u64, CommId)],
+        key: &mut [(u64, CommId)],
         outcomes: Vec<(u64, Option<RtsMessage>)>,
     ) {
+        key.sort_unstable_by_key(|&(id, _)| id);
         for (id, msg) in outcomes {
             let done = key
-                .iter()
-                .find(|&&(k, _)| k == id)
-                .map(|&(_, comm)| self.recv_outcome(comm, id, msg));
+                .binary_search_by_key(&id, |&(k, _)| k)
+                .ok()
+                .map(|i| self.recv_outcome(key[i].1, id, msg));
             self.state.borrow_mut().reaped.insert(id, done);
         }
     }

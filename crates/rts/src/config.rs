@@ -538,11 +538,7 @@ impl MachineConfig {
                 messages_sent: 0,
                 messages_received: 0,
                 migrations: 0,
-                req_seq: 0,
-                reqs: Default::default(),
-                completions: Default::default(),
-                wait_set: None,
-                pending_sends: Default::default(),
+                req: Default::default(),
             })
         };
 

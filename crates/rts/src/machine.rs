@@ -719,8 +719,9 @@ impl Machine {
     }
 
     /// Put a message in its target's mailbox, waking the target — the
-    /// barrier-time path (harness injection, real-time hub spill-over);
-    /// lanes use their own copy of this logic during epochs.
+    /// barrier-time path (harness injection, real-time hub spill-over).
+    /// Matching and completion are the rank's own (`Requests`), shared
+    /// with the lane path.
     pub(crate) fn deposit(&mut self, msg: RtsMessage) {
         let to = msg.to;
         self.messages_delivered += 1;
@@ -740,23 +741,13 @@ impl Machine {
         }
         // Delivery-time matching: a posted nonblocking receive whose
         // predicate covers this message consumes it before it ever
-        // reaches the mailbox (mirrors the lane-side path).
-        let posted = self.ranks[to].reqs.iter().find_map(|(&id, e)| {
-            match (&e.kind, &e.state) {
-                (crate::rank::ReqKind::Recv(spec), crate::rank::ReqState::Pending)
-                    if spec.matches(&msg) =>
-                {
-                    Some(id)
-                }
-                _ => None,
-            }
-        });
-        if let Some(id) = posted {
+        // reaches the mailbox (same rule as the lane-side path).
+        if let Some(id) = self.ranks[to].req.match_posted(&msg) {
             self.complete_req(to, id, Some(msg));
             return;
         }
         self.ranks[to].mailbox.push_back(msg);
-        if self.ranks[to].status == RankStatus::Waiting && self.ranks[to].wait_set.is_none() {
+        if self.ranks[to].status == RankStatus::Waiting && !self.ranks[to].req.in_wait() {
             let m = self.ranks[to].mailbox.pop_front().expect("just deposited");
             self.respond(to, Response::Message(m));
             self.ranks[to].status = RankStatus::Ready;
@@ -776,40 +767,30 @@ impl Machine {
         }
     }
 
-    /// Mark request `id` on `rank` complete and run the completion
-    /// protocol: completion-queue push, tallies, trace, waiter wake —
-    /// the barrier-time mirror of the lane-side `complete_req`.
+    /// Complete request `id` on `rank`: tallies, trace, and — if it
+    /// satisfied the rank's suspended wait — the wake, exactly as the
+    /// lane-side `complete_req` does.
     fn complete_req(&mut self, rank: RankId, id: u64, msg: Option<RtsMessage>) {
-        let rs = &mut self.ranks[rank];
-        let e = rs.reqs.get_mut(&id).expect("completing unknown request");
-        let send = e.is_send();
-        e.state = crate::rank::ReqState::Done(msg);
-        rs.completions.push_back(id);
-        if send {
+        let done = self.ranks[rank].req.complete(id, msg);
+        if done.send {
             self.req.send_completes += 1;
         } else {
             self.req.recv_completes += 1;
         }
-        let pe = rs.location;
-        self.trace(pe, rank as u32, EventKind::ReqComplete { req: id, send });
-        self.try_wake_waiter(rank);
-    }
-
-    /// If `rank` is suspended in a wait-family call whose set is now
-    /// satisfied, reap the outcomes, respond, and requeue it.
-    fn try_wake_waiter(&mut self, rank: RankId) {
-        let rs = &mut self.ranks[rank];
-        if rs.status != RankStatus::Waiting {
+        let pe = self.ranks[rank].location;
+        self.trace(
+            pe,
+            rank as u32,
+            EventKind::ReqComplete {
+                req: id,
+                send: done.send,
+            },
+        );
+        let Some((cont, outcomes)) = done.woke else {
             return;
-        }
-        if !rs.wait_set.as_ref().is_some_and(|ws| ws.satisfied(&rs.reqs)) {
-            return;
-        }
-        let ws = rs.wait_set.take().expect("checked above");
-        let outcomes = worker::reap_outcomes(rs, &ws.ids);
-        if ws.cont {
+        };
+        if cont {
             self.req.continuations += outcomes.len() as u64;
-            let pe = self.ranks[rank].location;
             if self.tracer.is_some() {
                 for (id, _) in &outcomes {
                     self.trace(pe, rank as u32, EventKind::ReqContinuation { req: *id });
@@ -818,7 +799,6 @@ impl Machine {
         }
         self.respond(rank, Response::ReqOutcomes(outcomes));
         self.ranks[rank].status = RankStatus::Ready;
-        let pe = self.ranks[rank].location;
         self.trace(pe, rank as u32, EventKind::Unblock);
         self.make_ready(rank);
     }
@@ -1071,7 +1051,7 @@ impl Machine {
                 buddy_patch: None,
                 checksum,
                 sp,
-                req: crate::rank::ReqSnapshot::capture(&self.ranks[r]),
+                req: crate::rank::ReqSnapshot::capture(&self.ranks[r].req),
                 cow_since,
             });
         }
@@ -1126,7 +1106,7 @@ impl Machine {
                 buddy_image: image.clone(),
                 image,
                 sp,
-                req: crate::rank::ReqSnapshot::capture(&self.ranks[r]),
+                req: crate::rank::ReqSnapshot::capture(&self.ranks[r].req),
                 checksum,
                 primary_pe,
                 buddy_pe: self.buddy_of(primary_pe),
@@ -1297,7 +1277,7 @@ impl Machine {
                 .expect("layout verified before unpack");
             // The request table rolls back with the memory it belongs
             // to — the cut's barrier state.
-            req.apply(&mut self.ranks[rank]);
+            req.apply(&mut self.ranks[rank].req);
             e.deltas.truncate(cut);
             e.accum = if cut == 0 { None } else { Some(img) };
             if let Some(sp) = sp {

@@ -37,7 +37,7 @@ use crate::machine::{
 };
 use crate::message::RtsMessage;
 use crate::pe::PeState;
-use crate::rank::{RankState, RankStatus, ReqEntry, ReqKind, ReqState, WaitSet};
+use crate::rank::{RankState, RankStatus, ReqKind};
 use crate::stats::{FaultTallies, HardeningTallies, ReqTallies};
 use crate::{PeId, RankId};
 use parking_lot::Mutex;
@@ -314,28 +314,6 @@ pub(crate) struct ExecCtx<'a, 'e, 'g> {
 /// Answer a rank's pending command.
 fn respond(rs: &RankState, resp: Response) {
     rs.slot.lock().resp = Some(resp);
-}
-
-/// Reap completed requests among `ids` from `rs`'s table, in completion
-/// order: each reaped id leaves both the completion queue and the table,
-/// and a receive hands over its matched message.
-pub(crate) fn reap_outcomes(rs: &mut RankState, ids: &[u64]) -> Vec<(u64, Option<RtsMessage>)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < rs.completions.len() {
-        let id = rs.completions[i];
-        if ids.contains(&id) {
-            rs.completions.remove(i);
-            let e = rs.reqs.remove(&id).expect("completed request in table");
-            let ReqState::Done(msg) = e.state else {
-                unreachable!("queued completion must be done")
-            };
-            out.push((id, msg));
-        } else {
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Flip one payload bit (or a checksum bit for empty payloads) — the
@@ -692,24 +670,16 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                 },
             );
         }
-        // Delivery-time matching: scan pending posted receives in post
-        // order and complete the first match. Posted receives claim
-        // messages before the mailbox sees them, so the mailbox never
-        // buffers a message a posted receive is waiting for.
-        let posted = rs
-            .reqs
-            .iter()
-            .find(|(_, e)| match (&e.kind, &e.state) {
-                (ReqKind::Recv(spec), ReqState::Pending) => spec.matches(&msg),
-                _ => false,
-            })
-            .map(|(id, _)| *id);
-        if let Some(id) = posted {
+        // Delivery-time matching: the earliest-posted pending receive
+        // that matches claims the message before the mailbox sees it, so
+        // the mailbox never buffers a message a posted receive is
+        // waiting for.
+        if let Some(id) = rs.req.match_posted(&msg) {
             self.complete_req(tl, to, id, Some(msg));
             return;
         }
         rs.mailbox.push_back(msg);
-        if rs.status == RankStatus::Waiting && rs.wait_set.is_none() {
+        if rs.status == RankStatus::Waiting && !rs.req.in_wait() {
             let m = rs.mailbox.pop_front().expect("just deposited");
             respond(rs, Response::Message(m));
             rs.status = RankStatus::Ready;
@@ -735,47 +705,34 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
         }
     }
 
-    /// Mark request `id` on rank `owner` complete: transition the table
-    /// entry, append to the per-rank completion queue, emit/tally the
-    /// completion, and wake the owner if it is suspended in a wait whose
-    /// set is now satisfied. `tl` must be the lane owning `owner`.
+    /// Complete request `id` on rank `owner`: tally and trace the
+    /// completion, and if it satisfied the wait `owner` is suspended in,
+    /// answer that wait with the reaped outcomes and make the rank
+    /// runnable again. `tl` must be the lane owning `owner`.
     fn complete_req(&mut self, tl: usize, owner: RankId, id: u64, msg: Option<RtsMessage>) {
         // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
         let rs = unsafe { self.shared.ranks.resident_mut(owner) };
-        let send = {
-            let e = rs.reqs.get_mut(&id).expect("completing unknown request");
-            e.state = ReqState::Done(msg);
-            e.is_send()
-        };
-        rs.completions.push_back(id);
+        let done = rs.req.complete(id, msg);
         {
             let out = &mut self.lanes[tl].out;
-            if send {
+            if done.send {
                 out.req.send_completes += 1;
             } else {
                 out.req.recv_completes += 1;
             }
         }
-        self.trace_at(tl, owner as u32, EventKind::ReqComplete { req: id, send });
-        self.try_wake_waiter(tl, owner);
-    }
-
-    /// If `owner` is suspended in a wait-family call whose wait set is
-    /// now satisfied, reap the outcomes, answer the pending command, and
-    /// make the rank runnable again.
-    fn try_wake_waiter(&mut self, tl: usize, owner: RankId) {
-        // SAFETY: the rank lives on lanes[tl].pe, owned by this worker.
-        let rs = unsafe { self.shared.ranks.resident_mut(owner) };
-        if rs.status != RankStatus::Waiting {
+        self.trace_at(
+            tl,
+            owner as u32,
+            EventKind::ReqComplete {
+                req: id,
+                send: done.send,
+            },
+        );
+        let Some((cont, outcomes)) = done.woke else {
             return;
-        }
-        let satisfied = rs.wait_set.as_ref().is_some_and(|ws| ws.satisfied(&rs.reqs));
-        if !satisfied {
-            return;
-        }
-        let ws = rs.wait_set.take().expect("checked above");
-        let outcomes = reap_outcomes(rs, &ws.ids);
-        self.tally_continuations(tl, owner, ws.cont, &outcomes);
+        };
+        self.tally_continuations(tl, owner, cont, &outcomes);
         respond(rs, Response::ReqOutcomes(outcomes));
         rs.status = RankStatus::Ready;
         self.trace_at(tl, owner as u32, EventKind::Unblock);
@@ -882,13 +839,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     // Leaked requests (never waited on, or completed but
                     // never reaped) are cleaned up here so a finished
                     // rank's table cannot pin messages or wake logic.
-                    let open = rs.reqs.len() as u64;
-                    if open > 0 {
-                        self.lanes[self.li].out.req.leaked += open;
-                        rs.reqs.clear();
-                        rs.completions.clear();
-                        rs.pending_sends.clear();
-                    }
+                    self.lanes[self.li].out.req.leaked += rs.req.clear();
                     self.lanes[self.li].out.done += 1;
                     return Ok(StopReason::Done);
                 }
@@ -1036,10 +987,9 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                             detail: format!("isend to nonexistent rank {to}"),
                         });
                     }
-                    self.check_req_capacity(r, rs.reqs.len())?;
+                    self.check_req_capacity(r, rs.req.len())?;
                     rs.messages_sent += 1;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
+                    let id = rs.req.post(ReqKind::Send);
                     let msg = RtsMessage::new(r, to, tag, payload);
                     let inline = msg.payload.is_inline();
                     {
@@ -1062,13 +1012,6 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                         },
                     );
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: true });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Send,
-                            state: ReqState::Pending,
-                        },
-                    );
                     respond(rs, Response::ReqId(id));
                     // `rs` must not be used past here: a send-to-self
                     // re-derives the same rank inside `route`/`deposit`.
@@ -1077,7 +1020,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                         // on this (the sender's) lane
                         let seq = self.send_reliable(msg);
                         let rs = unsafe { self.shared.ranks.resident_mut(r) };
-                        rs.pending_sends.insert((to, seq), id);
+                        rs.req.pending_sends.insert((to, seq), id);
                     } else {
                         // unconditional delivery: buffered-send
                         // semantics, complete at post
@@ -1086,18 +1029,10 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     }
                 }
                 Command::ReqPostRecv { spec } => {
-                    self.check_req_capacity(r, rs.reqs.len())?;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
+                    self.check_req_capacity(r, rs.req.len())?;
+                    let id = rs.req.post(ReqKind::Recv(spec));
                     self.lanes[self.li].out.req.recv_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Recv(spec),
-                            state: ReqState::Pending,
-                        },
-                    );
                     respond(rs, Response::ReqId(id));
                     // Claim an already-buffered match now, front to back:
                     // the mailbox is in delivery order, so taking the
@@ -1108,44 +1043,34 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                     }
                 }
                 Command::ReqPostLocal => {
-                    self.check_req_capacity(r, rs.reqs.len())?;
-                    let id = rs.req_seq;
-                    rs.req_seq += 1;
+                    self.check_req_capacity(r, rs.req.len())?;
+                    let id = rs.req.post(ReqKind::Local);
                     self.lanes[self.li].out.req.recv_posts += 1;
                     self.trace(r as u32, EventKind::ReqPost { req: id, send: false });
-                    rs.reqs.insert(
-                        id,
-                        ReqEntry {
-                            kind: ReqKind::Local,
-                            state: ReqState::Pending,
-                        },
-                    );
                     respond(rs, Response::ReqId(id));
                     self.complete_req(self.li, r, id, None);
                 }
                 Command::ReqWait { ids, any, cont } => {
-                    let pending = ids
-                        .iter()
-                        .filter(|id| rs.reqs.get(id).is_some_and(|e| !e.is_done()))
-                        .count() as u32;
-                    let ws = WaitSet { ids, any, cont };
-                    if ws.ids.is_empty() || ws.satisfied(&rs.reqs) {
-                        let outcomes = reap_outcomes(rs, &ws.ids);
+                    if let Some(outcomes) = rs.req.wait(ids, any, cont) {
                         self.tally_continuations(self.li, r, cont, &outcomes);
                         respond(rs, Response::ReqOutcomes(outcomes));
                     } else {
                         rs.status = RankStatus::Waiting;
-                        rs.wait_set = Some(ws);
                         self.lanes[self.li].out.req.wait_blocks += 1;
                         self.trace(r as u32, EventKind::Block);
-                        self.trace(r as u32, EventKind::ReqWaitBlock { waiting: pending });
-                        // response delivered by `try_wake_waiter` when
-                        // the wait set is satisfied
+                        self.trace(
+                            r as u32,
+                            EventKind::ReqWaitBlock {
+                                waiting: rs.req.wait_pending(),
+                            },
+                        );
+                        // response delivered by `complete_req` when the
+                        // wait is satisfied
                         return Ok(StopReason::BlockedRecv);
                     }
                 }
                 Command::ReqTest { ids, cont } => {
-                    let outcomes = reap_outcomes(rs, &ids);
+                    let outcomes = rs.req.reap(&ids);
                     self.tally_continuations(self.li, r, cont, &outcomes);
                     respond(rs, Response::ReqOutcomes(outcomes));
                 }
@@ -1278,7 +1203,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
                 // nonblocking send waiting on this ack completes here.
                 // SAFETY: `from` is resident on this lane's PE.
                 let rs = unsafe { self.shared.ranks.resident_mut(from) };
-                if let Some(id) = rs.pending_sends.remove(&(to, seq)) {
+                if let Some(id) = rs.req.pending_sends.remove(&(to, seq)) {
                     self.complete_req(self.li, from, id, None);
                 }
             }

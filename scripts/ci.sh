@@ -102,6 +102,9 @@ awk -v s="$speedup" 'BEGIN { exit !(s + 0 >= 1.3) }' || {
     exit 1
 }
 
+echo "==> posted-receive index oracle (index == linear scan over generated interleavings)"
+cargo test -q -p pvr-rts posted_index
+
 echo "==> request-engine determinism gate (async_comm, Serial == Threads(n))"
 PVR_THREADS=1 cargo test -q -p pvr-bench --test async_comm
 PVR_THREADS=4 cargo test -q -p pvr-bench --test async_comm

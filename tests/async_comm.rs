@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use pvr_ampi::{util, Ampi, ANY_SOURCE, COMM_WORLD};
+use pvr_ampi::{util, Ampi, ANY_SOURCE, ANY_TAG, COMM_WORLD};
 use pvr_apps::jacobi3d::{self, JacobiConfig};
 use pvr_des::{FaultParams, FaultPlan, HopClass, NetworkModel, SimDuration, Topology};
 use pvr_privatize::Method;
@@ -50,6 +50,18 @@ fn run_virtual(
     lossy: bool,
     body: impl Fn(&Ampi, &Mutex<Vec<f64>>) + Send + Sync + 'static,
 ) -> Outcome {
+    run_virtual_with(method, par, vp, lossy, |b| b, body)
+}
+
+/// [`run_virtual`] with extra builder settings applied by `tweak`.
+fn run_virtual_with(
+    method: Method,
+    par: Parallelism,
+    vp: usize,
+    lossy: bool,
+    tweak: impl FnOnce(MachineBuilder) -> MachineBuilder,
+    body: impl Fn(&Ampi, &Mutex<Vec<f64>>) + Send + Sync + 'static,
+) -> Outcome {
     let out: RankData = Arc::new(Mutex::new(Vec::new()));
     let o2 = out.clone();
     let tracer = Tracer::new(3);
@@ -58,7 +70,7 @@ fn run_virtual(
     if lossy {
         network = network.with_faults(lossy_plan(7));
     }
-    let mut m = MachineBuilder::new(jacobi3d::binary())
+    let builder = MachineBuilder::new(jacobi3d::binary())
         .method(method)
         .clock(ClockMode::Virtual)
         .parallelism(par)
@@ -66,7 +78,8 @@ fn run_virtual(
         .vp_ratio(vp)
         .stack_size(256 * 1024)
         .network(network)
-        .tracer(tracer.clone())
+        .tracer(tracer.clone());
+    let mut m = tweak(builder)
         .build(Arc::new(move |ctx: RankCtx| {
             let mpi = Ampi::init(ctx);
             let collected = Mutex::new(Vec::new());
@@ -407,4 +420,267 @@ fn leaked_requests_are_tallied_and_finalize_stays_clean() {
         "both abandoned requests must be tallied, got {}",
         outcome.report.req.leaked
     );
+}
+
+/// Where a deep-queue receive sits in the post order, and what it names.
+#[derive(Clone, Copy, Debug)]
+enum DeepPost {
+    /// From rank 0 with this tag.
+    Exact(u32),
+    /// Any source, tag [`X_TAG`] — only rank 0 sends it.
+    AnySource,
+    /// From rank 2, any tag.
+    AnyTag,
+    /// Any source, any tag: posted last, so it only gets a message no
+    /// earlier receive matches (rank 2's one surplus message).
+    Both,
+}
+
+const X_TAG: u32 = 1 << 20;
+const GO_TAG: u32 = X_TAG + 1;
+
+fn deep_post(i: usize, n: usize) -> DeepPost {
+    if i == n - 1 {
+        DeepPost::Both
+    } else if i % 256 == 37 {
+        DeepPost::AnySource
+    } else if i % 256 == 200 {
+        DeepPost::AnyTag
+    } else {
+        DeepPost::Exact(i as u32)
+    }
+}
+
+/// Order in which rank 0 sends the exact-tag messages.
+#[derive(Clone, Copy, Debug)]
+enum SendOrder {
+    Forward,
+    Reverse,
+    Shuffled(u64),
+}
+
+impl SendOrder {
+    fn apply(self, tags: &mut [u32]) {
+        match self {
+            SendOrder::Forward => {}
+            SendOrder::Reverse => tags.reverse(),
+            SendOrder::Shuffled(seed) => {
+                // Fisher-Yates over a splitmix64 stream
+                let mut state = seed;
+                for i in (1..tags.len()).rev() {
+                    state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^= z >> 31;
+                    tags.swap(i, (z % (i as u64 + 1)) as usize);
+                }
+            }
+        }
+    }
+}
+
+fn deep_payload(tag: u32, counter: u32) -> Bytes {
+    let mut b = tag.to_le_bytes().to_vec();
+    b.extend_from_slice(&counter.to_le_bytes());
+    Bytes::from(b)
+}
+
+fn deep_unpack(b: &Bytes) -> (u32, u32) {
+    let word = |i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+    (word(0), word(4))
+}
+
+/// Deep posted-receive queue: rank 1 posts `n` receives (exact, any-source,
+/// any-tag and one both-wildcard, interleaved per [`deep_post`]) before any
+/// matching message exists, then `waitall`s; rank 0 sends the exact tags in
+/// `order` with the [`X_TAG`] messages interleaved, rank 2 sends one message
+/// per any-tag receive plus one surplus. With `barrier` the receiver enters
+/// a checkpoint barrier with all `n` receives still pending; without it,
+/// a go message releases the senders. Every receive is checked for its own
+/// tag and payload, and wildcards for post-order resolution.
+fn deep_queue_body(
+    n: usize,
+    rounds: u32,
+    order: SendOrder,
+    barrier: bool,
+) -> impl Fn(&Ampi, &Mutex<Vec<f64>>) + Send + Sync {
+    move |mpi, collected| {
+        let posts: Vec<DeepPost> = (0..n).map(|i| deep_post(i, n)).collect();
+        let count = |f: fn(&DeepPost) -> bool| posts.iter().filter(|p| f(p)).count() as u32;
+        let n_x = count(|p| matches!(p, DeepPost::AnySource));
+        let n_any_tag = count(|p| matches!(p, DeepPost::AnyTag));
+        for round in 0..rounds {
+            match mpi.rank() {
+                1 => {
+                    let reqs: Vec<_> = posts
+                        .iter()
+                        .map(|p| match *p {
+                            DeepPost::Exact(t) => mpi.irecv(COMM_WORLD, Some(0), Some(t)),
+                            DeepPost::AnySource => mpi.irecv(COMM_WORLD, ANY_SOURCE, Some(X_TAG)),
+                            DeepPost::AnyTag => mpi.irecv(COMM_WORLD, Some(2), ANY_TAG),
+                            DeepPost::Both => mpi.irecv(COMM_WORLD, ANY_SOURCE, ANY_TAG),
+                        })
+                        .collect();
+                    if barrier {
+                        mpi.migrate();
+                    } else {
+                        for peer in [0, 2] {
+                            mpi.send_bytes(COMM_WORLD, peer, GO_TAG, Bytes::new());
+                        }
+                    }
+                    let (mut x, mut any_tag) = (0u32, 0u32);
+                    let mut data = collected.lock();
+                    for (p, (b, st)) in posts.iter().zip(mpi.waitall(reqs)) {
+                        let (tag, counter) = deep_unpack(&b);
+                        assert_eq!(st.tag, tag, "{p:?}: status tag differs from payload");
+                        match *p {
+                            DeepPost::Exact(t) => {
+                                assert_eq!(
+                                    (st.source, tag),
+                                    (0, t),
+                                    "exact receive got another message"
+                                );
+                            }
+                            DeepPost::AnySource => {
+                                assert_eq!(
+                                    (st.source, tag, counter),
+                                    (0, X_TAG, x),
+                                    "any-source out of post order"
+                                );
+                                x += 1;
+                            }
+                            DeepPost::AnyTag => {
+                                assert_eq!(
+                                    (st.source, counter),
+                                    (2, any_tag),
+                                    "any-tag out of post order"
+                                );
+                                any_tag += 1;
+                            }
+                            DeepPost::Both => {
+                                assert_eq!(
+                                    (st.source, counter),
+                                    (2, n_any_tag),
+                                    "both-wildcard took an earlier message"
+                                );
+                            }
+                        }
+                        data.extend([round as f64, st.source as f64, tag as f64, counter as f64]);
+                    }
+                }
+                me @ (0 | 2) => {
+                    if barrier {
+                        mpi.migrate();
+                    } else {
+                        mpi.recv_bytes(COMM_WORLD, Some(1), Some(GO_TAG));
+                    }
+                    if me == 0 {
+                        let mut tags: Vec<u32> = posts
+                            .iter()
+                            .filter_map(|p| match p {
+                                DeepPost::Exact(t) => Some(*t),
+                                _ => None,
+                            })
+                            .collect();
+                        order.apply(&mut tags);
+                        let mut x = 0;
+                        for (k, &t) in tags.iter().enumerate() {
+                            if k % 254 == 0 && x < n_x {
+                                mpi.send_bytes(COMM_WORLD, 1, X_TAG, deep_payload(X_TAG, x));
+                                x += 1;
+                            }
+                            mpi.send_bytes(COMM_WORLD, 1, t, deep_payload(t, k as u32));
+                        }
+                        for x in x..n_x {
+                            mpi.send_bytes(COMM_WORLD, 1, X_TAG, deep_payload(X_TAG, x));
+                        }
+                    } else {
+                        for j in 0..=n_any_tag {
+                            let t = 7000 + (j * 37) % 500;
+                            mpi.send_bytes(COMM_WORLD, 1, t, deep_payload(t, j));
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        mpi.barrier(COMM_WORLD);
+    }
+}
+
+#[test]
+fn deep_posted_queue_matches_every_order_bit_identically() {
+    const DEEP: usize = 4096;
+    for order in [
+        SendOrder::Forward,
+        SendOrder::Reverse,
+        SendOrder::Shuffled(0x5eed),
+    ] {
+        let run = |par| {
+            run_virtual_with(
+                Method::TlsGlobals,
+                par,
+                1,
+                false,
+                |b| b.max_outstanding_reqs(2 * DEEP),
+                deep_queue_body(DEEP, 1, order, false),
+            )
+        };
+        let serial = run(Parallelism::Serial);
+        assert_eq!(
+            serial.data[1].1.len(),
+            4 * DEEP,
+            "{order:?}: receiver checks skipped"
+        );
+        assert_eq!(serial.report.req.recv_posts, DEEP as u64);
+        assert_eq!(serial.report.req.recv_completes, DEEP as u64);
+        assert_eq!(serial.report.req.leaked, 0);
+        let par = run(Parallelism::Threads(4));
+        assert_eq!(
+            par.report.sim_digest(),
+            serial.report.sim_digest(),
+            "{order:?}: Threads(4) digest diverged from serial"
+        );
+        assert_eq!(par.data, serial.data, "{order:?}: received data diverged");
+        assert_eq!(
+            par.counts, serial.counts,
+            "{order:?}: trace counts diverged"
+        );
+    }
+}
+
+#[test]
+fn deep_posted_queue_survives_pe_failure_restore_bit_identically() {
+    // Every round the receiver enters the checkpoint barrier with 320
+    // posted receives pending, so the restored request tables (and the
+    // posted-receive index rebuilt from them) must match the sends that
+    // follow exactly as the clean run's did.
+    const POSTED: usize = 320;
+    let body = || deep_queue_body(POSTED, 3, SendOrder::Shuffled(11), true);
+    let failed = |par| {
+        run_virtual_with(
+            Method::PieGlobals,
+            par,
+            1,
+            false,
+            |b| b.checkpoint_period(1).inject_pe_failure_at_lb_step(2, 2),
+            body(),
+        )
+    };
+    let serial = failed(Parallelism::Serial);
+    assert!(
+        serial.report.faults.recoveries >= 1,
+        "the PE failure must roll back"
+    );
+    let par = failed(Parallelism::Threads(4));
+    assert_eq!(par.report.sim_digest(), serial.report.sim_digest());
+    assert_eq!(par.data, serial.data, "restore diverged across engines");
+    let clean = run_virtual(Method::PieGlobals, Parallelism::Serial, 1, false, body());
+    assert_eq!(clean.report.faults.recoveries, 0);
+    assert_eq!(
+        serial.data, clean.data,
+        "restore changed what the receives matched"
+    );
+    assert_eq!(serial.data[1].1.len(), 4 * 3 * POSTED);
 }
