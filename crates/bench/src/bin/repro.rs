@@ -8,8 +8,7 @@
 
 use pvr_bench::{
     ckpt_exp, cow_exp, degrade_exp, elastic_exp, faults_exp, fig5, fig6, fig7, fig8, icache_exp,
-    overlap_exp,
-    parallel_exp, perf_exp, scaling, tables, tracing_exp,
+    overlap_exp, parallel_exp, scaling, tables, tracing_exp,
 };
 
 fn main() {
@@ -57,7 +56,6 @@ fn main() {
             "trace" => println!("{}\n", tracing_exp::report()),
             "scaling" => println!("{}\n", parallel_exp::report(quick)),
             "faults" => println!("{}\n", faults_exp::report()),
-            "perf" => println!("{}\n", perf_exp::report(quick)),
             "cow" => println!("{}\n", cow_exp::report(quick)),
             "ckpt" => println!("{}\n", ckpt_exp::report(quick)),
             "elastic" => println!("{}\n", elastic_exp::report(quick)),
@@ -74,7 +72,7 @@ fn main() {
             other => {
                 eprintln!("unknown experiment `{other}`");
                 eprintln!(
-                    "known: table1 table3 fig5 fig6 fig7 fig8 icache trace scaling faults degrade perf cow ckpt elastic overlap table2 fig9 all"
+                    "known: table1 table3 fig5 fig6 fig7 fig8 icache trace scaling faults degrade cow ckpt elastic overlap table2 fig9 all"
                 );
                 std::process::exit(2);
             }

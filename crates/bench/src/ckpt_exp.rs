@@ -21,7 +21,7 @@
 //! Rows are merged into `BENCH_perf.json` under the `ckpt` section; the
 //! CI smoke gate greps the read-mostly pause row for a ≥5× reduction.
 
-use crate::perf_exp::startup_binary;
+use crate::cow_exp::startup_binary;
 use crate::{merge_bench_json, render_table, JsonRow};
 use parking_lot::Mutex;
 use pvr_des::Topology;

@@ -3,8 +3,8 @@
 //! COWglobals claims two wins over eager PIEglobals: startup no longer
 //! copies the data segment per rank, and resident memory grows with the
 //! pages ranks actually *write*, not with ranks × segment. This
-//! experiment measures both on the same data-heavy image as the `perf`
-//! startup sweep, across rank counts and two write-locality workloads:
+//! experiment measures both on one data-heavy image ([`startup_binary`]),
+//! across rank counts and two write-locality workloads:
 //!
 //! - **read-mostly** — every rank reads the whole 1 MiB array but
 //!   writes only its first page (the stencil-halo shape COW targets);
@@ -15,14 +15,70 @@
 //! Reported per cell: marginal startup ns/rank (PIE → COW), marginal
 //! resident bytes/rank, the max rank count fitting in 1 GB of segment
 //! memory, and the dedup audit's never-diverged page share. Rows are
-//! merged into `BENCH_perf.json` under the `cow` section alongside the
-//! `perf` rows.
+//! merged into `BENCH_perf.json` under the `cow` section.
 
-use crate::perf_exp::{startup_binary, startup_ns_per_rank};
 use crate::{merge_bench_json, render_table, JsonRow};
 use pvr_privatize::methods::Options;
 use pvr_privatize::{create_privatizer, regs, Method, PrivatizeEnv};
+use pvr_progimage::{link, CtorSpec, FunctionSpec, GlobalSpec, ImageSpec, ProgramBinary, VarClass};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// A data-heavy program image, the shape where startup cost lives: a
+/// 1 MiB initialized array the segment copy must carry per rank, a 2 MiB
+/// code segment, and a constructor-built object graph the patch list
+/// must rebase. Shared with the incremental-checkpoint sweep
+/// (`ckpt_exp`).
+pub(crate) fn startup_binary() -> Arc<ProgramBinary> {
+    let big = vec![0x5Au8; 1 << 20]; // nonzero: every word reaches classify()
+    let mut b = ImageSpec::builder("perf_startup")
+        .var(GlobalSpec::new("big_state", big.len(), VarClass::Global).with_init(&big))
+        .var(GlobalSpec::new("gp", 8, VarClass::Global))
+        .static_var("counter", 8)
+        .function(FunctionSpec::new("combine", 512))
+        .code_padding(2 << 20);
+    // A constructor-built object graph: two dozen heap allocations whose
+    // ranges the conservative scan must test every nonzero word against
+    // — the cost the memoized patch list pays exactly once.
+    let mut ctor = CtorSpec::new("init").fn_ptr_into("gp", "combine");
+    for i in 0..24 {
+        let name = format!("h{i}");
+        b = b.var(GlobalSpec::new(&name, 8, VarClass::Global));
+        ctor = ctor.alloc_into(2048, &name);
+    }
+    link(b.ctor(ctor).build())
+}
+
+/// Steady-state startup cost in **ns per rank, median over ranks
+/// `1..n`**. Rank 0 — which carries the one-time per-process work
+/// (dlopen + phdr diff, the memoized template/patch-list build) — is
+/// instantiated outside the timed window, and the median is robust to
+/// the allocator/page-fault outliers of the first few ranks, so the
+/// number is comparable across sweep sizes.
+fn startup_ns_per_rank(binary: &Arc<ProgramBinary>, method: Method, n_ranks: usize) -> f64 {
+    assert!(n_ranks >= 2, "need at least one rank past the warmup rank");
+    let env = PrivatizeEnv::new(binary.clone());
+    let mut p = create_privatizer(method, env, Options::default()).unwrap();
+    // Rank memory is pre-created (and dropped) outside the timed window:
+    // the measurement is the privatizer's work, not arena setup.
+    let mut mems: Vec<pvr_isomalloc::RankMemory> = (0..n_ranks)
+        .map(|_| pvr_isomalloc::RankMemory::new())
+        .collect();
+    let warm = p.instantiate_rank(0, &mut mems[0]).unwrap();
+    drop(warm);
+    let mut per_rank: Vec<u128> = Vec::with_capacity(n_ranks - 1);
+    for (r, mem) in mems.iter_mut().enumerate().skip(1) {
+        let t0 = Instant::now();
+        let inst = p.instantiate_rank(r, mem).unwrap();
+        per_rank.push(t0.elapsed().as_nanos());
+        drop(inst);
+    }
+    per_rank.sort_unstable();
+    let ns = per_rank[per_rank.len() / 2] as f64;
+    drop(mems);
+    regs::clear();
+    ns
+}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Workload {
@@ -60,7 +116,7 @@ struct Cell {
 /// `VarAccess` API, and read the privatizer's fault/dedup accounting.
 fn run_cow_cell(ranks: usize, workload: Workload) -> Cell {
     let binary = startup_binary();
-    let env = PrivatizeEnv::new(binary).with_perf_fast(true);
+    let env = PrivatizeEnv::new(binary);
     let mut p = create_privatizer(Method::CowGlobals, env, Options::default()).unwrap();
     let mut mems: Vec<pvr_isomalloc::RankMemory> =
         (0..ranks).map(|_| pvr_isomalloc::RankMemory::new()).collect();
@@ -87,7 +143,7 @@ fn run_cow_cell(ranks: usize, workload: Workload) -> Cell {
         + (stats.pages_privatized * stats.page_size) as f64 / ranks as f64;
 
     // Eager baseline: PIEglobals copies code+data+TLS for every rank.
-    let env = PrivatizeEnv::new(startup_binary()).with_perf_fast(true);
+    let env = PrivatizeEnv::new(startup_binary());
     let pie = create_privatizer(Method::PieGlobals, env, Options::default()).unwrap();
     let pie_bytes_per_rank = pie.per_rank_copied_bytes() as f64;
 
@@ -116,8 +172,8 @@ pub fn report(quick: bool) -> String {
         let mut pie_ns = f64::INFINITY;
         let mut cow_ns = f64::INFINITY;
         for _ in 0..reps {
-            pie_ns = pie_ns.min(startup_ns_per_rank(&binary, Method::PieGlobals, n, true));
-            cow_ns = cow_ns.min(startup_ns_per_rank(&binary, Method::CowGlobals, n, true));
+            pie_ns = pie_ns.min(startup_ns_per_rank(&binary, Method::PieGlobals, n));
+            cow_ns = cow_ns.min(startup_ns_per_rank(&binary, Method::CowGlobals, n));
         }
         json.push(JsonRow {
             section: "cow",

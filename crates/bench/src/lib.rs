@@ -1,10 +1,13 @@
 //! # pvr-bench — the evaluation harness
 //!
 //! One module per table/figure of the paper's §4, each exposing a
-//! `run(...)` that produces the data and a rendered report. The `repro`
+//! `report(...)` that produces the data and renders it. The `repro`
 //! binary drives them (`cargo run --release -p pvr-bench --bin repro --
-//! all`); the Criterion benches under `benches/` cover the
-//! latency-sensitive measurements with proper statistics.
+//! all`); the Criterion benches under `benches/` cover a few
+//! latency-sensitive measurements. Wall-clock performance of the
+//! runtime itself — whole runs and per-layer costs, with medians and
+//! quartiles over repeated runs — is measured by the separate
+//! `pvrbench` harness at the repository root, not here.
 //!
 //! | Paper artifact | Module | Regenerate with |
 //! |---|---|---|
@@ -20,13 +23,13 @@
 //! `pvr-trace` observability layer (`repro -- trace`), [`faults_exp`]
 //! the fault-injection/recovery stack (`repro -- faults`),
 //! [`degrade_exp`] the capability-probe fallback chain and memory-safety
-//! guards (`repro -- degrade`), [`perf_exp`] the hot-path before/after
-//! baseline (`repro -- perf`, writes `BENCH_perf.json`),
-//! [`cow_exp`] the COWglobals dedup/startup sweep (`repro -- cow`,
-//! merged into the same JSON), [`elastic_exp`] the elastic rescale
-//! sweep (`repro -- elastic`, also merged there), and [`overlap_exp`]
-//! the Isend/Irecv latency-hiding sweep (`repro -- overlap`, also
-//! merged there).
+//! guards (`repro -- degrade`), [`cow_exp`] the COWglobals
+//! dedup/startup sweep (`repro -- cow`), [`ckpt_exp`] the incremental
+//! checkpoint sweep (`repro -- ckpt`), [`elastic_exp`] the elastic
+//! rescale sweep (`repro -- elastic`), and [`overlap_exp`] the
+//! Isend/Irecv latency-hiding sweep (`repro -- overlap`). Those four
+//! each merge their rows into `BENCH_perf.json` under their own
+//! section (see [`merge_bench_json`]).
 
 pub mod ckpt_exp;
 pub mod cow_exp;
@@ -40,7 +43,6 @@ pub mod fig8;
 pub mod icache_exp;
 pub mod overlap_exp;
 pub mod parallel_exp;
-pub mod perf_exp;
 pub mod scaling;
 pub mod tables;
 pub mod tracing_exp;
@@ -48,6 +50,8 @@ pub mod tracing_exp;
 /// One row of `BENCH_perf.json`. `unit` documents what `before`/`after`
 /// measure (e.g. `"ns/rank"`, `"bytes/rank"`, `"ranks/GB"`); `ratio` is
 /// in the row's better-is-bigger direction, supplied by the caller.
+/// `before` and `after` are written at full precision (shortest
+/// round-trip form), so small values such as fractions survive.
 pub struct JsonRow {
     pub section: &'static str,
     pub name: String,
@@ -64,7 +68,7 @@ impl JsonRow {
     fn render(&self) -> String {
         format!(
             "{{\"section\": \"{}\", \"name\": \"{}\", \"ranks\": {}, \"method\": \"{}\", \
-             \"unit\": \"{}\", \"quick\": {}, \"before\": {:.1}, \"after\": {:.1}, \
+             \"unit\": \"{}\", \"quick\": {}, \"before\": {}, \"after\": {}, \
              \"ratio\": {:.2}}}",
             self.section,
             self.name,
@@ -80,21 +84,17 @@ impl JsonRow {
 }
 
 /// Merge `rows` into the JSON file at `path`, replacing only the rows
-/// owned by `section` and preserving every other experiment's rows.
-/// `repro -- perf` and `repro -- cow` both write `BENCH_perf.json`;
-/// regenerating one must not discard the other's numbers. Rows from the
-/// pre-section file format (no `"section"` key) are adopted by `perf`.
+/// owned by `section` and preserving every other experiment's rows:
+/// `repro -- cow`, `ckpt`, `elastic` and `overlap` all write
+/// `BENCH_perf.json`, and regenerating one must not discard the others'
+/// numbers. Rows without a `"section"` key are dropped.
 pub fn merge_bench_json(path: &str, section: &str, rows: &[JsonRow]) -> std::io::Result<()> {
     fn row_section(line: &str) -> Option<String> {
         let t = line.trim();
         if !t.starts_with('{') || !t.contains("\"name\"") {
             return None;
         }
-        let sect = t
-            .split("\"section\": \"")
-            .nth(1)
-            .and_then(|r| r.split('"').next())
-            .unwrap_or("perf");
+        let sect = t.split("\"section\": \"").nth(1)?.split('"').next()?;
         Some(sect.to_string())
     }
     let mut kept: Vec<String> = Vec::new();
@@ -110,7 +110,9 @@ pub fn merge_bench_json(path: &str, section: &str, rows: &[JsonRow]) -> std::io:
     let mut all = kept;
     all.extend(rows.iter().map(|r| r.render()));
     let mut s = String::new();
-    s.push_str("{\n  \"generated_by\": \"repro -- perf | cow\",\n  \"benches\": [\n");
+    s.push_str(
+        "{\n  \"generated_by\": \"repro -- cow | ckpt | elastic | overlap\",\n  \"benches\": [\n",
+    );
     for (i, line) in all.iter().enumerate() {
         s.push_str("    ");
         s.push_str(line);
@@ -163,5 +165,57 @@ pub fn fmt_dur(d: std::time::Duration) -> String {
         format!("{:.2} us", ns as f64 / 1e3)
     } else {
         format!("{} ns", ns)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(section: &'static str, name: &str, before: f64, after: f64) -> JsonRow {
+        JsonRow {
+            section,
+            name: name.into(),
+            ranks: 2,
+            method: "m".into(),
+            unit: "fraction",
+            quick: true,
+            before,
+            after,
+            ratio: 1.0,
+        }
+    }
+
+    /// The numeric value of `key` in the one row of `json` named `name`.
+    fn field(json: &str, name: &str, key: &str) -> f64 {
+        let line = json
+            .lines()
+            .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+            .expect("row present");
+        let rest = line
+            .split(&format!("\"{key}\": "))
+            .nth(1)
+            .expect("key present");
+        rest.split([',', '}'])
+            .next()
+            .unwrap()
+            .parse()
+            .expect("a number")
+    }
+
+    #[test]
+    fn merge_bench_json_keeps_full_precision_and_other_sections() {
+        let path = std::env::temp_dir().join(format!("pvr_bench_json_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        merge_bench_json(path, "a", &[row("a", "small", 0.0421, 1.0 / 3.0)]).unwrap();
+        merge_bench_json(path, "b", &[row("b", "big", 34263565.9, 2.0)]).unwrap();
+        // re-running section `a` replaces its row and keeps `b`'s
+        merge_bench_json(path, "a", &[row("a", "small", 0.0421, 1.0 / 3.0)]).unwrap();
+        let json = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert_eq!(field(&json, "small", "before"), 0.0421);
+        assert_eq!(field(&json, "small", "after"), 1.0 / 3.0);
+        assert_eq!(field(&json, "big", "before"), 34263565.9);
+        assert_eq!(json.matches("\"name\"").count(), 2, "{json}");
     }
 }

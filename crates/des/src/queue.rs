@@ -145,9 +145,10 @@ impl<E> EventQueue<E> {
         self.seq
     }
 
-    /// Drain every event with timestamp strictly below `horizon`, in
-    /// (time, insertion sequence) order, advancing `now` to the latest
-    /// timestamp drained.
+    /// Epoch extraction: append every event with timestamp strictly
+    /// below `horizon` to `out`, in (time, insertion sequence) order,
+    /// advancing `now` to the latest timestamp drained. A no-op when
+    /// the queue is empty or the head is already at/after `horizon`.
     ///
     /// This is the epoch-extraction primitive for conservative parallel
     /// simulation: with a lookahead `L` no smaller than the minimum
@@ -157,38 +158,20 @@ impl<E> EventQueue<E> {
     /// generated while the window runs land at or beyond `horizon`, so
     /// re-inserting them afterwards can never schedule into the past.
     ///
-    /// Returns an empty vector when the queue is empty or the head is
-    /// already at/after `horizon`.
-    pub fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
-        // Reference implementation: one heap pop per event. Kept as the
-        // oracle `drain_until` is checked against — do not "optimize".
-        let mut out = Vec::new();
-        while let Some(t) = self.peek_time() {
-            if t >= horizon {
-                break;
-            }
-            out.push(self.pop().expect("peeked event must pop"));
-        }
-        out
-    }
-
-    /// Bulk epoch extraction: append every event with timestamp strictly
-    /// below `horizon` to `out`, in (time, insertion sequence) order,
-    /// advancing `now` to the latest timestamp drained.
-    ///
-    /// Semantically identical to `pop_window`, but (a) the caller owns
-    /// and reuses the output buffer, so steady-state extraction never
-    /// allocates, and (b) when the horizon clears the whole queue the
-    /// heap is emptied with one `O(n log n)` sort instead of `n`
-    /// heap-pop siftings — the common case for the parallel engine,
-    /// whose lookahead window usually swallows every pending event.
+    /// The caller owns and reuses the output buffer, so steady-state
+    /// extraction never allocates; and when the horizon clears the
+    /// whole queue the heap is emptied with one `O(n log n)` sort
+    /// instead of `n` heap-pop siftings — the common case for the
+    /// parallel engine, whose lookahead window usually swallows every
+    /// pending event. Checked against the one-pop-per-event test oracle
+    /// `pop_window`.
     pub fn drain_until(&mut self, horizon: SimTime, out: &mut Vec<(SimTime, E)>) {
         if self.heap.is_empty() {
             return;
         }
         // Below this length, `n` heap pops beat the flatten-sort's fixed
         // cost; the pop loop keeps tiny epochs (e.g. a 2-rank ping-pong)
-        // as cheap as the reference path.
+        // cheap.
         const SORT_CUTOFF: usize = 32;
         if self.max_at < horizon && self.heap.len() > SORT_CUTOFF {
             // Whole-queue drain: flatten and sort once instead of `n`
@@ -226,6 +209,22 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
     use proptest::prelude::*;
+
+    impl<E> EventQueue<E> {
+        /// Reference epoch extraction: one heap pop per event, into a
+        /// fresh vector — the oracle `drain_until` must match; do not
+        /// optimize.
+        fn pop_window(&mut self, horizon: SimTime) -> Vec<(SimTime, E)> {
+            let mut out = Vec::new();
+            while let Some(t) = self.peek_time() {
+                if t >= horizon {
+                    break;
+                }
+                out.push(self.pop().expect("peeked event must pop"));
+            }
+            out
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -425,6 +424,51 @@ mod tests {
             prop_assert_eq!(got, want);
             prop_assert_eq!(fast.now(), reference.now());
             prop_assert_eq!(fast.len(), reference.len());
+        }
+
+        /// `drain_until` vs the `pop_window` oracle over a whole run of
+        /// epochs: each window's events are re-scheduled at or after the
+        /// horizon (as an engine's emissions are), so both the bulk sort
+        /// path (whole-queue drains above the cutoff) and the pop loop
+        /// are exercised, with the queue's `now`, length and
+        /// same-timestamp order checked after every epoch.
+        #[test]
+        fn oracle_drain_until_matches_pop_window_over_epochs(
+            times in proptest::collection::vec(0u64..60, 1..120),
+            windows in proptest::collection::vec((0u64..40, 0usize..4), 1..12),
+        ) {
+            let mut reference = EventQueue::new();
+            let mut fast = EventQueue::with_capacity(times.len());
+            for (i, &t) in times.iter().enumerate() {
+                reference.schedule(SimTime(t), i);
+                fast.schedule(SimTime(t), i);
+            }
+            let mut next_id = times.len();
+            let mut got = Vec::new();
+            for &(width, fanout) in &windows {
+                let horizon = match reference.peek_time() {
+                    // width 0: the unbounded whole-queue drain
+                    Some(t0) if width > 0 => t0.saturating_add(SimDuration(width)),
+                    _ => SimTime::MAX,
+                };
+                let want = reference.pop_window(horizon);
+                got.clear();
+                fast.drain_until(horizon, &mut got);
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(fast.now(), reference.now());
+                prop_assert_eq!(fast.len(), reference.len());
+                // each drained event emits `fanout` follow-ups at or after
+                // the horizon, some on the same timestamp
+                let base = if horizon == SimTime::MAX { fast.now() } else { horizon };
+                for &(t, _) in &want {
+                    for k in 0..fanout as u64 {
+                        let at = base.max(t).saturating_add(SimDuration((t.0 + k) % 5));
+                        reference.schedule(at, next_id);
+                        fast.schedule(at, next_id);
+                        next_id += 1;
+                    }
+                }
+            }
         }
 
         #[test]

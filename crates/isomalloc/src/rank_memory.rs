@@ -85,6 +85,15 @@ pub enum RegionDiffPlan {
         /// `(page index, page bytes)` — the final page may be partial.
         pages: Vec<(u32, Vec<u8>)>,
     },
+    /// Only bytes from offset `live_from` to the region's end are live
+    /// (a suspended ULT stack above its saved SP): ship every
+    /// `page_size` chunk overlapping them, byte-equal to `prev` or not,
+    /// and nothing below. Live frames can hold host-heap addresses whose
+    /// churn between captures depends on host allocator reuse; shipping
+    /// the live pages unconditionally keeps the delta's page and byte
+    /// counts a function of the simulation alone. Dead bytes below the
+    /// SP keep their previous image contents.
+    LiveTail { live_from: usize },
 }
 
 /// A sparse byte patch against a packed [`MigrationBuffer`] image — the
@@ -345,7 +354,8 @@ impl RankMemory {
     /// supplies an explicit dirty-page list (with read-through payloads),
     /// so the region's live memory is never touched. Either way, chunks
     /// byte-equal to `prev` are skipped — stale dirty stamps cost compare
-    /// time, never delta bytes.
+    /// time, never delta bytes. [`RegionDiffPlan::LiveTail`] instead
+    /// ships the chunks covering the region's live tail as they are.
     ///
     /// Returns `None` when `prev`'s layout no longer matches this rank's
     /// regions (the heap grew or shrank a chunk, a region resized): the
@@ -394,6 +404,15 @@ impl RankMemory {
                         if cur[p..p + n] != prev_bytes[p..p + n] {
                             ranges.push(((body + p) as u64, cur[p..p + n].to_vec()));
                         }
+                        p += n;
+                    }
+                }
+                RegionDiffPlan::LiveTail { live_from } => {
+                    let cur = r.as_slice();
+                    let mut p = live_from.min(len) / page_size * page_size;
+                    while p < len {
+                        let n = page_size.min(len - p);
+                        ranges.push(((body + p) as u64, cur[p..p + n].to_vec()));
                         p += n;
                     }
                 }
@@ -725,6 +744,36 @@ mod tests {
         assert!(
             rm.diff_pages_against(&base, 128, |_| RegionDiffPlan::Scan).is_none(),
             "grown layout must force a fresh base"
+        );
+    }
+
+    #[test]
+    fn diff_live_tail_ships_live_pages_as_is_and_skips_dead_ones() {
+        let mut rm = sample_rank();
+        let base = rm.pack();
+        let stack_base = rm.region(RegionId(0)).base() as usize;
+        // a write below the live range is dead: never shipped
+        rm.region_mut(RegionId(0)).as_mut_slice()[0] = 0xEE;
+        // live range [8092, 8192) straddles pages 126 and 127 (64 B)
+        let live_from = 8192 - 100;
+        let delta = rm
+            .diff_pages_against(&base, 64, |r| {
+                if r.base() as usize == stack_base {
+                    RegionDiffPlan::LiveTail { live_from }
+                } else {
+                    RegionDiffPlan::Scan
+                }
+            })
+            .unwrap();
+        // both live pages ship although their bytes did not change
+        assert_eq!(delta.range_count(), 2);
+        assert_eq!(delta.bytes(), 128);
+        let mut img = base.clone();
+        delta.apply_to(&mut img);
+        assert_eq!(
+            img.as_slice(),
+            base.as_slice(),
+            "live pages carried unchanged bytes"
         );
     }
 

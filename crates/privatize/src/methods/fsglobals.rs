@@ -38,11 +38,6 @@ pub struct FsGlobals {
     /// Deleted on drop so a torn-down startup (method fallback, error)
     /// releases its FS footprint instead of leaking it.
     created_paths: Vec<String>,
-    /// Per-rank copies as FS links (one physical copy per job, a link
-    /// per rank) instead of full byte duplication. The link path charges
-    /// identical capacity/cost (see [`pvr_progimage::SharedFs::link_file`]),
-    /// so every probe, `NoSpace`, and reported duration is unchanged.
-    fast: bool,
 }
 
 impl FsGlobals {
@@ -61,7 +56,6 @@ impl FsGlobals {
                     .to_string(),
             });
         }
-        let fast = env.perf_fast;
         let common = Common::new(env)?;
 
         // Deploy the original binary to the shared FS (once per job).
@@ -103,7 +97,6 @@ impl FsGlobals {
             copied_bytes,
             deployed_path,
             created_paths,
-            fast,
         })
     }
 }
@@ -147,14 +140,14 @@ impl Privatizer for FsGlobals {
         };
         {
             let mut fs = fs_arc.lock();
-            // Fast path: link instead of copy — same capacity and
-            // simulated cost, no host-side byte duplication.
-            let copy_cost = if self.fast {
-                fs.link_file(&self.deployed_path, &copy_path, clients)
-            } else {
-                fs.copy_file(&self.deployed_path, &copy_path, clients)
-            };
-            self.io_cost += copy_cost.map_err(PrivatizeError::Fs)?;
+            // A link, not a byte copy: one physical binary per job, yet
+            // the same capacity and simulated cost as a per-rank copy
+            // (see [`pvr_progimage::SharedFs::link_file`]), so every
+            // probe, `NoSpace` and reported duration models the paper's
+            // per-rank file copy.
+            self.io_cost += fs
+                .link_file(&self.deployed_path, &copy_path, clients)
+                .map_err(PrivatizeError::Fs)?;
             // The copy exists on the FS from here on; track it so it is
             // cleaned up on any failure below and on drop.
             self.created_paths.push(copy_path.clone());
@@ -352,40 +345,133 @@ mod tests {
         }
     }
 
+    /// What FSglobals' startup observably did to its shared FS.
+    #[derive(Debug, PartialEq)]
+    struct FsOutcome {
+        /// Ranks placed before the first failure, and that failure.
+        placed: usize,
+        error: Option<String>,
+        cost: Duration,
+        bytes_used: usize,
+        file_count: usize,
+        op_count: u64,
+    }
+
+    fn outcome(fs: &SharedFs, placed: usize, error: Option<String>, cost: Duration) -> FsOutcome {
+        FsOutcome {
+            placed,
+            error,
+            cost,
+            bytes_used: fs.bytes_used(),
+            file_count: fs.file_count(),
+            op_count: fs.op_count(),
+        }
+    }
+
+    /// Run FSglobals' startup for `ranks` ranks on `fs`, stopping at the
+    /// first failure; the outcome is read before the privatizer drops.
+    fn link_startup(fs: Arc<Mutex<SharedFs>>, clients: usize, ranks: usize) -> FsOutcome {
+        let env = PrivatizeEnv::new(bin())
+            .with_shared_fs(Some(fs.clone()))
+            .with_concurrent_processes(clients);
+        let mut p = match FsGlobals::new(env) {
+            Ok(p) => p,
+            Err(e) => return outcome(&fs.lock(), 0, Some(e.to_string()), Duration::ZERO),
+        };
+        let mut placed = 0;
+        let mut error = None;
+        for rank in 0..ranks {
+            let mut mem = RankMemory::new();
+            match p.instantiate_rank(rank, &mut mem) {
+                Ok(inst) => {
+                    inst.access("g").write_u64(rank as u64);
+                    placed += 1;
+                }
+                Err(e) => {
+                    error = Some(e.to_string());
+                    break;
+                }
+            }
+        }
+        let out = outcome(&fs.lock(), placed, error, p.simulated_startup_cost());
+        drop(p);
+        out
+    }
+
+    /// The oracle: the same startup as a byte-duplicating `copy_file`
+    /// per rank — deploy once, then copy and read back per rank.
+    fn copy_startup(fs: Arc<Mutex<SharedFs>>, clients: usize, ranks: usize) -> FsOutcome {
+        let binary = bin();
+        let deployed = format!("/scratch/{}", binary.spec.name);
+        let mut fs = fs.lock();
+        let fail = |fs: &SharedFs, placed, e: pvr_progimage::FsError, cost| {
+            outcome(fs, placed, Some(PrivatizeError::Fs(e).to_string()), cost)
+        };
+        let mut cost = match fs.write_file(&deployed, vec![0x7F; binary.file_size()], clients) {
+            Ok(c) => c,
+            Err(e) => return fail(&fs, 0, e, Duration::ZERO),
+        };
+        for rank in 0..ranks {
+            let copy = format!("{deployed}.vp{rank}");
+            match fs.copy_file(&deployed, &copy, clients) {
+                Ok(c) => cost += c,
+                Err(e) => return fail(&fs, rank, e, cost),
+            }
+            match fs.read_file(&copy, clients) {
+                Ok((_, c)) => cost += c,
+                Err(e) => return fail(&fs, rank, e, cost),
+            }
+        }
+        outcome(&fs, ranks, None, cost)
+    }
+
     #[test]
     fn link_fast_path_matches_copy_accounting() {
-        let fs_fast = Arc::new(Mutex::new(SharedFs::new()));
-        let fs_ref = Arc::new(Mutex::new(SharedFs::new()));
-        let mut fast =
-            FsGlobals::new(PrivatizeEnv::new(bin()).with_shared_fs(Some(fs_fast.clone())))
-                .unwrap();
-        let mut reference = FsGlobals::new(
-            PrivatizeEnv::new(bin())
-                .with_shared_fs(Some(fs_ref.clone()))
-                .with_perf_fast(false),
-        )
-        .unwrap();
-        for rank in 0..4 {
-            let mut m0 = RankMemory::new();
-            let mut m1 = RankMemory::new();
-            let a = fast.instantiate_rank(rank, &mut m0).unwrap();
-            let b = reference.instantiate_rank(rank, &mut m1).unwrap();
-            a.access("g").write_u64(rank as u64);
-            b.access("g").write_u64(rank as u64);
-        }
+        let fs_link = Arc::new(Mutex::new(SharedFs::new()));
+        let fs_copy = Arc::new(Mutex::new(SharedFs::new()));
         // every observable: identical — simulated I/O, capacity charged,
-        // op count
+        // files, op count
         assert_eq!(
-            fast.simulated_startup_cost(),
-            reference.simulated_startup_cost()
+            link_startup(fs_link.clone(), 1, 4),
+            copy_startup(fs_copy.clone(), 1, 4)
         );
-        assert_eq!(fs_fast.lock().bytes_used(), fs_ref.lock().bytes_used());
-        assert_eq!(fs_fast.lock().op_count(), fs_ref.lock().op_count());
         // the win: one physical binary on the FS instead of one per rank
         assert!(
-            fs_fast.lock().physical_bytes_used() < fs_ref.lock().physical_bytes_used(),
+            fs_link.lock().physical_bytes_used() < fs_copy.lock().physical_bytes_used(),
             "links must not duplicate bytes"
         );
+    }
+
+    /// `link_file` startup vs the `copy_file` oracle across contention
+    /// levels, a capacity limit that runs out mid-startup, and injected
+    /// write failures: the same ranks placed, the same error at the same
+    /// rank, the same simulated cost and the same FS accounting.
+    #[test]
+    fn oracle_link_startup_matches_copy_file() {
+        let file_size = bin().file_size();
+        type Setup = fn(&mut SharedFs, usize);
+        let setups: [(&str, Setup); 4] = [
+            ("unlimited", |_, _| {}),
+            ("capacity", |fs, size| {
+                fs.set_capacity(Some(size * 3 + size / 2))
+            }),
+            ("inject", |fs, _| fs.fail_writes_after(4)),
+            ("no room to deploy", |fs, size| {
+                fs.set_capacity(Some(size / 2))
+            }),
+        ];
+        for (name, setup) in setups {
+            for clients in [1, 4] {
+                let mk = || {
+                    let mut fs = SharedFs::new();
+                    setup(&mut fs, file_size);
+                    Arc::new(Mutex::new(fs))
+                };
+                let got = link_startup(mk(), clients, 6);
+                let want = copy_startup(mk(), clients, 6);
+                assert_eq!(got, want, "{name}, {clients} clients");
+            }
+        }
     }
 
     #[test]

@@ -253,9 +253,8 @@ pub struct PieGlobals {
     /// Bytes of fixups applied, by strategy, for reporting/tests.
     pub fixups_applied: usize,
     pub false_positive_candidates: usize,
-    /// Memoized startup template (fast path; built lazily).
+    /// Memoized startup template (built at the first instantiation).
     template: Option<StartupTemplate>,
-    fast: bool,
 }
 
 impl PieGlobals {
@@ -267,7 +266,6 @@ impl PieGlobals {
                     .to_string(),
             });
         }
-        let fast = env.perf_fast;
         let mut env = env;
         let (image, orig) = dlopen_and_locate(&mut env)?;
         let tls_block_size = env.binary.layout.tls_size.max(8);
@@ -281,38 +279,13 @@ impl PieGlobals {
             fixups_applied: 0,
             false_positive_candidates: 0,
             template: None,
-            fast,
         })
     }
 
-    /// Rebase one value if it points into the original segments or a ctor
-    /// heap allocation; returns the new value and what matched.
-    fn rebase_value(
-        &self,
-        v: u64,
-        new_code: usize,
-        new_data: usize,
-        ctor_clones: &[(usize, usize, usize)], // (orig_base, len, clone_base)
-    ) -> Option<u64> {
-        let addr = v as usize;
-        if self.orig.contains_code(addr) {
-            return Some((new_code + (addr - self.orig.code_base)) as u64);
-        }
-        if self.orig.contains_data(addr) {
-            return Some((new_data + (addr - self.orig.data_base)) as u64);
-        }
-        for &(base, len, clone) in ctor_clones {
-            if addr >= base && addr < base + len {
-                return Some((clone + (addr - base)) as u64);
-            }
-        }
-        None
-    }
-
-    /// Fast startup: memcpy the memoized template into rank memory and
-    /// apply the patch list. Produces bit-identical segments, fixup
-    /// counts, and trace events to [`Self::instantiate_segments_reference`].
-    fn instantiate_segments_fast(
+    /// Steps 3-4: memcpy the memoized template into rank memory and
+    /// replay the patch list. Checked against the per-rank scan kept as
+    /// the test oracle `instantiate_segments_reference`.
+    fn instantiate_segments(
         &mut self,
         image: &LoadedImage,
         mem: &mut RankMemory,
@@ -332,8 +305,8 @@ impl PieGlobals {
         image: &LoadedImage,
         mem: &mut RankMemory,
     ) -> Result<(usize, usize, usize), PrivatizeError> {
-        // Step 3 (fast): code straight from the image, data from the
-        // snapshot — both one memcpy.
+        // Step 3: code straight from the image, data from the snapshot —
+        // both one memcpy.
         let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
         let data_copy = Region::from_bytes(RegionKind::DataSegment, &tpl.data);
         let new_code = code_copy.base() as usize;
@@ -360,8 +333,8 @@ impl PieGlobals {
             clone_bases.push(clone.ptr as usize);
         }
 
-        // Step 4 (fast): patch-list replay — no scanning, one add and
-        // one write per recorded fixup.
+        // Step 4: patch-list replay — no scanning, one add and one write
+        // per recorded fixup.
         let resolve = |t: PatchTarget| -> u64 {
             match t {
                 PatchTarget::Code { off } => (new_code + off) as u64,
@@ -394,113 +367,6 @@ impl PieGlobals {
         Ok((new_code, new_data, data_len))
     }
 
-    /// Reference startup (steps 3-4): full per-rank scan and fixup —
-    /// kept verbatim as the oracle the template path must match; do not
-    /// optimize.
-    fn instantiate_segments_reference(
-        &mut self,
-        image: &LoadedImage,
-        mem: &mut RankMemory,
-    ) -> Result<(usize, usize, usize), PrivatizeError> {
-        // Step 3: copy segments into Isomalloc-managed rank memory.
-        let code_copy = Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
-        let data_copy = Region::from_bytes(RegionKind::DataSegment, image.data_region().as_slice());
-        let new_code = code_copy.base() as usize;
-        let new_data = data_copy.base() as usize;
-        let data_ptr = data_copy.base_mut();
-        let data_len = data_copy.len();
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Code,
-            bytes: code_copy.len() as u64,
-        });
-        pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
-            segment: pvr_trace::Segment::Data,
-            bytes: data_len as u64,
-        });
-        mem.add_region(code_copy);
-        mem.add_region(data_copy);
-
-        // Replicate ctor heap allocations into the rank's heap; their
-        // contents are copied and will be pointer-fixed below.
-        let mut ctor_clones: Vec<(usize, usize, usize)> = Vec::new();
-        for alloc in image.ctor_heap() {
-            let clone = mem.heap().alloc(alloc.len().max(1), 8)?;
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    alloc.as_slice().as_ptr(),
-                    clone.ptr,
-                    alloc.len(),
-                );
-            }
-            ctor_clones.push((alloc.base(), alloc.len(), clone.ptr as usize));
-        }
-
-        // Step 4: pointer fixup.
-        match self.opts.scan {
-            ScanPolicy::ConservativeScan => {
-                // scan the data copy, 8-byte stride
-                let words = data_len / 8;
-                for i in 0..words {
-                    let p = unsafe { (data_ptr as *mut u64).add(i) };
-                    let v = unsafe { p.read_unaligned() };
-                    if v == 0 {
-                        continue;
-                    }
-                    if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones) {
-                        unsafe { p.write_unaligned(nv) };
-                        self.fixups_applied += 1;
-                    }
-                }
-                // scan the replicated ctor allocations too (they may hold
-                // pointers to globals or code)
-                for &(_, len, clone) in &ctor_clones {
-                    for i in 0..len / 8 {
-                        let p = (clone + i * 8) as *mut u64;
-                        let v = unsafe { p.read_unaligned() };
-                        if v == 0 {
-                            continue;
-                        }
-                        if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones)
-                        {
-                            unsafe { p.write_unaligned(nv) };
-                            self.fixups_applied += 1;
-                        }
-                    }
-                }
-            }
-            ScanPolicy::Relocations => {
-                for r in image.relocs() {
-                    let p = unsafe { data_ptr.add(r.data_offset) } as *mut u64;
-                    let nv = match r.target {
-                        pvr_progimage::RelocTarget::Code { offset } => (new_code + offset) as u64,
-                        pvr_progimage::RelocTarget::Data { offset } => (new_data + offset) as u64,
-                        pvr_progimage::RelocTarget::CtorHeap { alloc, offset } => {
-                            (ctor_clones[alloc].2 + offset) as u64
-                        }
-                    };
-                    unsafe { p.write_unaligned(nv) };
-                    self.fixups_applied += 1;
-                }
-            }
-        }
-
-        // Rebase the GOT for this rank's copies; lives in rank memory.
-        let got_len = image.got().len().max(1);
-        let got_alloc = mem.heap().alloc(got_len * 8, 8)?;
-        {
-            let got_slice =
-                unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
-            for (i, &entry) in image.got().iter().enumerate() {
-                got_slice[i] = self
-                    .rebase_value(entry, new_code, new_data, &ctor_clones)
-                    .unwrap_or(entry);
-            }
-        }
-        pvr_trace::emit(pvr_trace::EventKind::GotFixup {
-            entries: got_len as u32,
-        });
-        Ok((new_code, new_data, data_len))
-    }
 }
 
 impl Privatizer for PieGlobals {
@@ -517,11 +383,7 @@ impl Privatizer for PieGlobals {
         let layout = &binary.layout;
         let image = self.common.base_image.clone();
 
-        let (new_code, new_data, data_len) = if self.fast {
-            self.instantiate_segments_fast(&image, mem)?
-        } else {
-            self.instantiate_segments_reference(&image, mem)?
-        };
+        let (new_code, new_data, data_len) = self.instantiate_segments(&image, mem)?;
 
         // Step 5: per-rank TLS block (TLSglobals combination).
         let mut tls_block = Region::new_zeroed(RegionKind::TlsSegment, self.tls_block_size);
@@ -683,6 +545,184 @@ mod tests {
         PieGlobals::new(PrivatizeEnv::new(bin()), opts).unwrap()
     }
 
+    impl PieGlobals {
+        /// Rebase one value if it points into the original segments or a ctor
+        /// heap allocation; returns the new value and what matched.
+        fn rebase_value(
+            &self,
+            v: u64,
+            new_code: usize,
+            new_data: usize,
+            ctor_clones: &[(usize, usize, usize)], // (orig_base, len, clone_base)
+        ) -> Option<u64> {
+            let addr = v as usize;
+            if self.orig.contains_code(addr) {
+                return Some((new_code + (addr - self.orig.code_base)) as u64);
+            }
+            if self.orig.contains_data(addr) {
+                return Some((new_data + (addr - self.orig.data_base)) as u64);
+            }
+            for &(base, len, clone) in ctor_clones {
+                if addr >= base && addr < base + len {
+                    return Some((clone + (addr - base)) as u64);
+                }
+            }
+            None
+        }
+
+        /// Reference startup (steps 3-4): the full per-rank scan and fixup
+        /// that the template replay replaced — the oracle it must match; do
+        /// not optimize.
+        fn instantiate_segments_reference(
+            &mut self,
+            image: &LoadedImage,
+            mem: &mut RankMemory,
+        ) -> Result<(usize, usize, usize), PrivatizeError> {
+            // Step 3: copy segments into Isomalloc-managed rank memory.
+            let code_copy =
+                Region::from_bytes(RegionKind::CodeSegment, image.code_region().as_slice());
+            let data_copy =
+                Region::from_bytes(RegionKind::DataSegment, image.data_region().as_slice());
+            let new_code = code_copy.base() as usize;
+            let new_data = data_copy.base() as usize;
+            let data_ptr = data_copy.base_mut();
+            let data_len = data_copy.len();
+            pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
+                segment: pvr_trace::Segment::Code,
+                bytes: code_copy.len() as u64,
+            });
+            pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
+                segment: pvr_trace::Segment::Data,
+                bytes: data_len as u64,
+            });
+            mem.add_region(code_copy);
+            mem.add_region(data_copy);
+
+            // Replicate ctor heap allocations into the rank's heap; their
+            // contents are copied and will be pointer-fixed below.
+            let mut ctor_clones: Vec<(usize, usize, usize)> = Vec::new();
+            for alloc in image.ctor_heap() {
+                let clone = mem.heap().alloc(alloc.len().max(1), 8)?;
+                // SAFETY: `clone` is a fresh allocation of at least
+                // `alloc.len()` bytes, disjoint from the image's heap.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        alloc.as_slice().as_ptr(),
+                        clone.ptr,
+                        alloc.len(),
+                    );
+                }
+                ctor_clones.push((alloc.base(), alloc.len(), clone.ptr as usize));
+            }
+
+            // Step 4: pointer fixup.
+            match self.opts.scan {
+                ScanPolicy::ConservativeScan => {
+                    // scan the data copy, 8-byte stride
+                    let words = data_len / 8;
+                    // SAFETY (this loop and the next): every word read or
+                    // written lies inside the data copy or a ctor clone
+                    // this call just allocated, and `i < len / 8`.
+                    for i in 0..words {
+                        let p = unsafe { (data_ptr as *mut u64).add(i) };
+                        let v = unsafe { p.read_unaligned() };
+                        if v == 0 {
+                            continue;
+                        }
+                        if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones) {
+                            unsafe { p.write_unaligned(nv) };
+                            self.fixups_applied += 1;
+                        }
+                    }
+                    // scan the replicated ctor allocations too (they may hold
+                    // pointers to globals or code)
+                    for &(_, len, clone) in &ctor_clones {
+                        for i in 0..len / 8 {
+                            let p = (clone + i * 8) as *mut u64;
+                            let v = unsafe { p.read_unaligned() };
+                            if v == 0 {
+                                continue;
+                            }
+                            if let Some(nv) = self.rebase_value(v, new_code, new_data, &ctor_clones)
+                            {
+                                unsafe { p.write_unaligned(nv) };
+                                self.fixups_applied += 1;
+                            }
+                        }
+                    }
+                }
+                ScanPolicy::Relocations => {
+                    for r in image.relocs() {
+                        // SAFETY: relocation offsets index 8-byte slots
+                        // inside the data segment, which the copy spans.
+                        let p = unsafe { data_ptr.add(r.data_offset) } as *mut u64;
+                        let nv = match r.target {
+                            pvr_progimage::RelocTarget::Code { offset } => {
+                                (new_code + offset) as u64
+                            }
+                            pvr_progimage::RelocTarget::Data { offset } => {
+                                (new_data + offset) as u64
+                            }
+                            pvr_progimage::RelocTarget::CtorHeap { alloc, offset } => {
+                                (ctor_clones[alloc].2 + offset) as u64
+                            }
+                        };
+                        unsafe { p.write_unaligned(nv) };
+                        self.fixups_applied += 1;
+                    }
+                }
+            }
+
+            // Rebase the GOT for this rank's copies; lives in rank memory.
+            let got_len = image.got().len().max(1);
+            let got_alloc = mem.heap().alloc(got_len * 8, 8)?;
+            {
+                // SAFETY: `got_alloc` is a fresh 8-aligned allocation of
+                // `got_len` words, borrowed by nothing else.
+                let got_slice =
+                    unsafe { std::slice::from_raw_parts_mut(got_alloc.ptr as *mut u64, got_len) };
+                for (i, &entry) in image.got().iter().enumerate() {
+                    got_slice[i] = self
+                        .rebase_value(entry, new_code, new_data, &ctor_clones)
+                        .unwrap_or(entry);
+                }
+            }
+            pvr_trace::emit(pvr_trace::EventKind::GotFixup {
+                entries: got_len as u32,
+            });
+            Ok((new_code, new_data, data_len))
+        }
+    }
+
+    /// Every 8-byte word of `mem`'s regions and heap chunks, with each
+    /// value that points into one of them rewritten as (region index,
+    /// offset). Two instantiations of the same rank then compare equal
+    /// exactly when they hold the same bytes and the same pointer graph,
+    /// wherever their copies happen to live.
+    fn canonical_words(mem: &RankMemory) -> Vec<u64> {
+        let spans: Vec<(usize, usize)> = mem
+            .regions()
+            .chain(mem.heap_ref().regions())
+            .map(|r| (r.base() as usize, r.len()))
+            .collect();
+        let mut out = Vec::new();
+        for &(base, len) in &spans {
+            // SAFETY: every span is a live region or heap chunk of `mem`.
+            let bytes = unsafe { std::slice::from_raw_parts(base as *const u8, len) };
+            for chunk in bytes.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                let v = u64::from_ne_bytes(word);
+                let canon = spans
+                    .iter()
+                    .position(|&(b, l)| (v as usize) >= b && (v as usize) < b + l)
+                    .map(|i| (1 << 63) | ((i as u64) << 40) | (v - spans[i].0 as u64));
+                out.push(canon.unwrap_or(v));
+            }
+        }
+        out
+    }
+
     #[test]
     fn all_var_classes_privatized() {
         let mut p = make(PieOptions::default());
@@ -757,26 +797,20 @@ mod tests {
     #[test]
     fn conservative_scan_corrupts_false_positive_but_relocations_do_not() {
         // An integer that happens to equal an address inside the original
-        // code segment — the paper's acknowledged hazard. Swept over both
-        // startup paths: the template snapshot happens at the first
-        // instantiation, so the fast path must see pre-privatization
-        // writes to the image exactly like the reference scan does.
-        for (scan, expect_corruption, fast) in [
-            (ScanPolicy::ConservativeScan, true, true),
+        // code segment — the paper's acknowledged hazard. Swept over the
+        // template replay and the reference scan: the template snapshot
+        // happens at the first instantiation, so it must see
+        // pre-privatization writes to the image exactly like the scan.
+        for (scan, expect_corruption, reference) in [
             (ScanPolicy::ConservativeScan, true, false),
-            (ScanPolicy::Relocations, false, true),
+            (ScanPolicy::ConservativeScan, true, true),
             (ScanPolicy::Relocations, false, false),
+            (ScanPolicy::Relocations, false, true),
         ] {
-            let binary = bin();
-            let env = PrivatizeEnv::new(binary).with_perf_fast(fast);
-            let mut p = PieGlobals::new(
-                env,
-                PieOptions {
-                    scan,
-                    dedup_readonly: false,
-                },
-            )
-            .unwrap();
+            let mut p = make(PieOptions {
+                scan,
+                dedup_readonly: false,
+            });
             // Write the colliding integer into `g` of the ORIGINAL image
             // (as if computed at startup before privatization).
             let fake = (p.orig.code_base + 24) as u64;
@@ -784,8 +818,18 @@ mod tests {
                 (p.common.base_image.data_addr_of("g").unwrap() as *mut u64).write(fake);
             }
             let mut m = RankMemory::new();
-            let r = p.instantiate_rank(0, &mut m).unwrap();
-            let got = r.access("g").read_u64();
+            let got = if reference {
+                let image = p.common.base_image.clone();
+                let (_, new_data, _) = p.instantiate_segments_reference(&image, &mut m).unwrap();
+                let off = p.common.env.binary.layout.data_syms["g"].offset;
+                // SAFETY: `g` lies inside the data copy just made in `m`.
+                unsafe { ((new_data + off) as *const u64).read_unaligned() }
+            } else {
+                p.instantiate_rank(0, &mut m)
+                    .unwrap()
+                    .access("g")
+                    .read_u64()
+            };
             if expect_corruption {
                 assert_ne!(got, fake, "conservative scan rebased the integer");
             } else {
@@ -801,36 +845,93 @@ mod tests {
                 scan,
                 dedup_readonly: false,
             };
-            let mut fast = PieGlobals::new(PrivatizeEnv::new(bin()), opts).unwrap();
-            let mut reference =
-                PieGlobals::new(PrivatizeEnv::new(bin()).with_perf_fast(false), opts).unwrap();
-            assert!(fast.fast && !reference.fast);
+            let mut fast = make(opts);
+            let mut reference = make(opts);
+            let image = reference.common.base_image.clone();
+            let layout = &reference.common.env.binary.layout;
+            let [vt, hp, lp, g] = ["vt", "hp", "lp", "g"].map(|v| layout.data_syms[v].offset);
             for rank in 0..3 {
                 let mut mf = RankMemory::new();
+                let r = fast.instantiate_rank(rank, &mut mf).unwrap();
                 let mut mr = RankMemory::new();
-                for (p, mem) in [(&mut fast, &mut mf), (&mut reference, &mut mr)] {
-                    let r = p.instantiate_rank(rank, mem).unwrap();
-                    r.activate();
-                    // vtable → rank's own code copy, resolving to the
-                    // same symbol
-                    let vt = r.access("vt").read_u64() as usize;
-                    let found = p.find_original(vt).expect("vt resolves");
-                    assert_eq!(found.symbol.as_ref().unwrap().0, "combine");
-                    // ctor heap pointer → this rank's clone
-                    let hp = r.access("hp").read_u64() as usize;
-                    assert!(mem.heap_ref().contains(hp));
-                    // data-to-data pointer → this rank's own `g`
-                    let lp = r.access("lp").read_u64() as usize;
-                    assert_eq!(lp, r.access("g").ptr() as usize);
-                }
+                let (ref_code, ref_data, _) = reference
+                    .instantiate_segments_reference(&image, &mut mr)
+                    .unwrap();
+                // SAFETY: only called with a live data copy's base and
+                // the offset of one of its 8-byte variables.
+                let read = |base: usize, off: usize| unsafe {
+                    ((base + off) as *const u64).read_unaligned() as usize
+                };
+                // vtable → the rank's own code copy, at the same offset
+                let fast_vt = r.access("vt").read_u64() as usize;
+                let found = fast.find_original(fast_vt).expect("vt resolves");
+                assert_eq!(found.symbol.as_ref().unwrap().0, "combine");
+                assert_eq!(fast_vt - r.code_base(), read(ref_data, vt) - ref_code);
+                // ctor heap pointer → this rank's clone
+                assert!(mf.heap_ref().contains(r.access("hp").read_u64() as usize));
+                assert!(mr.heap_ref().contains(read(ref_data, hp)));
+                // data-to-data pointer → this rank's own `g`
+                assert_eq!(
+                    r.access("lp").read_u64() as usize,
+                    r.access("g").ptr() as usize
+                );
+                assert_eq!(read(ref_data, lp), ref_data + g);
             }
             // identical fixup work per rank on both paths, template
             // reused across ranks (same count every rank)
             assert_eq!(
                 fast.fixups_applied, reference.fixups_applied,
-                "{scan:?}: fast path must apply exactly the reference fixups"
+                "{scan:?}: template replay must apply exactly the reference fixups"
             );
             regs::clear();
+        }
+    }
+
+    /// Template replay vs the per-rank reference scan over everything
+    /// the segment copy produces: every byte and pointer of the code and
+    /// data copies, the ctor heap clones and the rebased GOT; the
+    /// returned bases; the fixup count; and the trace events.
+    #[test]
+    fn oracle_template_replay_matches_reference_scan() {
+        for scan in [ScanPolicy::ConservativeScan, ScanPolicy::Relocations] {
+            let opts = PieOptions {
+                scan,
+                dedup_readonly: false,
+            };
+            let mut fast = make(opts);
+            let mut reference = make(opts);
+            for rank in 0..3 {
+                let mut mf = RankMemory::new();
+                let mut mr = RankMemory::new();
+                let run = |p: &mut PieGlobals, mem: &mut RankMemory, oracle: bool| {
+                    let image = p.common.base_image.clone();
+                    let tracer = pvr_trace::Tracer::new(1);
+                    tracer.enable();
+                    let _scope = pvr_trace::ThreadScope::install(tracer.clone());
+                    let bases = if oracle {
+                        p.instantiate_segments_reference(&image, mem)
+                    } else {
+                        p.instantiate_segments(&image, mem)
+                    };
+                    (bases.unwrap(), tracer.counts())
+                };
+                let ((code_f, data_f, len_f), trace_f) = run(&mut fast, &mut mf, false);
+                let ((code_r, data_r, len_r), trace_r) = run(&mut reference, &mut mr, true);
+                assert_eq!(len_f, len_r, "{scan:?} rank {rank}: data length");
+                let region_of = |mem: &RankMemory, addr: usize| {
+                    mem.regions().position(|r| r.base() as usize == addr)
+                };
+                assert_eq!(region_of(&mf, code_f), region_of(&mr, code_r));
+                assert_eq!(region_of(&mf, data_f), region_of(&mr, data_r));
+                assert_eq!(
+                    canonical_words(&mf),
+                    canonical_words(&mr),
+                    "{scan:?} rank {rank}: segment copies, ctor clones or GOT differ"
+                );
+                assert_eq!(trace_f, trace_r, "{scan:?} rank {rank}: trace events");
+                assert_eq!(fast.fixups_applied, reference.fixups_applied, "{scan:?}");
+            }
+            assert!(fast.fixups_applied > 0, "{scan:?}: the image needs fixups");
         }
     }
 

@@ -92,7 +92,6 @@ pub struct TlsGlobals {
     /// every entry's init bytes laid in at its offset. Per-rank startup
     /// is then a single memcpy instead of a per-entry copy loop.
     block_template: Box<[u8]>,
-    fast: bool,
 }
 
 impl TlsGlobals {
@@ -145,7 +144,6 @@ impl TlsGlobals {
         }
 
         let pes = env.pes_per_process;
-        let fast = env.perf_fast;
         let common = Common::new(env)?;
         let spec = common.env.binary.spec.clone();
         let layout = &common.env.binary.layout;
@@ -234,7 +232,6 @@ impl TlsGlobals {
             pe_blocks,
             process_level,
             block_template,
-            fast,
         })
     }
 
@@ -274,20 +271,9 @@ impl Privatizer for TlsGlobals {
     ) -> Result<RankInstance, PrivatizeError> {
         // Per-rank TLS segment copy, in rank memory (migratable: Table 1
         // says TLSglobals supports migration; the per-rank TLS block is
-        // exactly "the TLS segment copied once per virtual rank").
-        let block = if self.fast {
-            // one memcpy from the prebuilt template
-            Region::from_bytes(RegionKind::TlsSegment, &self.block_template)
-        } else {
-            // reference path: zeroed block + per-entry init copies —
-            // kept verbatim as the oracle the template must match.
-            let mut block = Region::new_zeroed(RegionKind::TlsSegment, self.block_size);
-            for e in &self.entries {
-                let len = e.init.len().min(e.size);
-                block.as_mut_slice()[e.offset..e.offset + len].copy_from_slice(&e.init[..len]);
-            }
-            block
-        };
+        // exactly "the TLS segment copied once per virtual rank"): one
+        // memcpy from the prebuilt template.
+        let block = Region::from_bytes(RegionKind::TlsSegment, &self.block_template);
         let base = block.base_mut();
         pvr_trace::emit(pvr_trace::EventKind::SegmentCopy {
             segment: pvr_trace::Segment::Tls,
@@ -438,35 +424,100 @@ mod tests {
         assert!(!p.supports_migration(), "Table 1: not implemented");
     }
 
+    impl TlsGlobals {
+        /// Reference per-rank block: zeroes with every entry's init
+        /// bytes copied in one at a time — what the prebuilt template
+        /// replaced, and the oracle it must match.
+        fn reference_block(&self) -> Vec<u8> {
+            let mut block = vec![0u8; self.block_size];
+            for e in &self.entries {
+                let len = e.init.len().min(e.size);
+                block[e.offset..e.offset + len].copy_from_slice(&e.init[..len]);
+            }
+            block
+        }
+    }
+
+    /// Instantiate `rank` and copy out its TLS block.
+    fn block_of(p: &mut TlsGlobals, rank: usize, mem: &mut RankMemory) -> Vec<u8> {
+        let inst = p.instantiate_rank(rank, mem).unwrap();
+        let CtxAction::SetTls(base) = inst.ctx_action() else {
+            panic!("TLSglobals must install a TLS block");
+        };
+        // SAFETY: the block is a live `block_size`-byte region of `mem`.
+        unsafe { std::slice::from_raw_parts(base, p.block_size) }.to_vec()
+    }
+
     #[test]
     fn template_block_bit_identical_to_reference_init() {
-        let mk = |fast: bool| {
-            TlsGlobals::new(
-                PrivatizeEnv::new(bin()).with_perf_fast(fast),
-                TagPolicy::All,
-                false,
-            )
-            .unwrap()
+        let mut p = TlsGlobals::new(PrivatizeEnv::new(bin()), TagPolicy::All, false).unwrap();
+        let mut m = RankMemory::new();
+        assert_eq!(
+            block_of(&mut p, 0, &mut m),
+            p.reference_block(),
+            "template memcpy must equal per-entry init"
+        );
+    }
+
+    /// Template memcpy vs per-entry init over every way a variable can
+    /// land in the block: initialized TLS, tagged and untagged globals
+    /// and statics of odd sizes, and PE/process-level HLS variables that
+    /// must stay out of it — across several ranks, with the block's
+    /// size, memory accounting and trace event checked too.
+    #[test]
+    fn oracle_template_block_matches_per_entry_init() {
+        use pvr_progimage::GlobalSpec;
+        let binary = link(
+            ImageSpec::builder("inits")
+                .var(GlobalSpec::new("a", 3, VarClass::Global).with_init(&[1, 2, 3]))
+                .var(GlobalSpec::new("b", 16, VarClass::Static).with_init(&[0xAB; 16]))
+                .var(GlobalSpec::new("c", 8, VarClass::ThreadLocal).with_init(&[7; 8]))
+                .var(GlobalSpec::new("d", 8, VarClass::Global).with_init(&[9; 8]))
+                .var(GlobalSpec::new("e", 5, VarClass::Static).with_init(&[0x5E; 5]))
+                .global("z", 8)
+                .build(),
+        );
+        let set = |names: &[&str]| TagPolicy::Set(names.iter().map(|n| n.to_string()).collect());
+        let hls = |pairs: &[(&str, HlsLevel)]| -> HashMap<String, HlsLevel> {
+            pairs.iter().map(|&(n, l)| (n.to_string(), l)).collect()
         };
-        let mut fast = mk(true);
-        let mut reference = mk(false);
-        let mut mf = RankMemory::new();
-        let mut mr = RankMemory::new();
-        let inst_f = fast.instantiate_rank(0, &mut mf).unwrap();
-        let inst_r = reference.instantiate_rank(0, &mut mr).unwrap();
-        assert_eq!(fast.block_size, reference.block_size);
-        let (CtxAction::SetTls(bf), CtxAction::SetTls(br)) =
-            (inst_f.ctx_action(), inst_r.ctx_action())
-        else {
-            panic!("expected SetTls on both paths");
-        };
-        let (sf, sr) = unsafe {
+        let cases = [
+            (TagPolicy::All, hls(&[])),
+            (set(&["a", "e"]), hls(&[])),
+            (TagPolicy::None, hls(&[])),
             (
-                std::slice::from_raw_parts(bf, fast.block_size),
-                std::slice::from_raw_parts(br, reference.block_size),
-            )
-        };
-        assert_eq!(sf, sr, "template memcpy must equal per-entry init");
+                TagPolicy::All,
+                hls(&[("d", HlsLevel::Pe), ("b", HlsLevel::Process)]),
+            ),
+        ];
+        for (case, (tags, levels)) in cases.into_iter().enumerate() {
+            let env = PrivatizeEnv::new(binary.clone()).with_pes(2);
+            let mut p = TlsGlobals::with_hls(env, tags, false, levels).unwrap();
+            let want = p.reference_block();
+            assert!(
+                want.iter().any(|&b| b != 0),
+                "case {case}: no init bytes to check"
+            );
+            for rank in 0..3 {
+                let tracer = pvr_trace::Tracer::new(1);
+                tracer.enable();
+                let _scope = pvr_trace::ThreadScope::install(tracer.clone());
+                let mut m = RankMemory::new();
+                assert_eq!(
+                    block_of(&mut p, rank, &mut m),
+                    want,
+                    "case {case} rank {rank}"
+                );
+                assert_eq!(m.stats().tls_bytes, p.block_size, "case {case}");
+                let counts = tracer.counts();
+                assert_eq!(counts.segment_copies, 1, "case {case}");
+                assert_eq!(
+                    counts.segment_copy_bytes, p.block_size as u64,
+                    "case {case}"
+                );
+            }
+            regs::clear();
+        }
     }
 
     #[test]

@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Moves a value across the startup builder threads unconditionally.
+/// Moves a builder thread's results back to the building thread
+/// unconditionally.
 ///
-/// Safety: used only inside `MachineConfig::build`'s scoped parallel
+/// Safety: used only inside [`instantiate_ranks`]' scoped parallel
 /// startup, mirroring `RankTable`'s reasoning — each builder thread
-/// works on disjoint processes and freshly allocated rank memory, the
-/// wrapped closure reference touches only `Send + Sync` captures, and
+/// works on disjoint processes and freshly allocated rank memory, and
 /// every produced `RankState` is handed back to the single building
 /// thread before anything runs on it.
 struct SendCell<T>(T);
@@ -168,12 +168,6 @@ pub struct MachineConfig {
     pub guards: bool,
     /// Worker-thread policy for [`Machine::run`].
     pub parallelism: Parallelism,
-    /// Hot-path fast paths: bulk epoch extraction (`drain_until`),
-    /// recycled lane queues/outboxes, zero-copy corruption injection,
-    /// and memoized privatization startup. Defaults to on; turning it
-    /// off selects the reference oracle paths, which produce
-    /// bit-identical results (asserted by `tests/perf_equivalence.rs`).
-    pub perf_fast_paths: bool,
 }
 
 impl MachineConfig {
@@ -212,7 +206,6 @@ impl MachineConfig {
             fallback_chain: vec![Method::PipGlobals, Method::FsGlobals, Method::PieGlobals],
             guards: false,
             parallelism: Parallelism::Auto,
-            perf_fast_paths: true,
         }
     }
 
@@ -401,7 +394,6 @@ impl MachineConfig {
                 .with_pes(topo.pes_per_process)
                 .with_shared_fs(self.shared_fs.clone())
                 .with_concurrent_processes(topo.total_processes())
-                .with_perf_fast(self.perf_fast_paths)
         };
 
         // Candidate methods, in trial order: the requested method, then
@@ -464,6 +456,7 @@ impl MachineConfig {
         // the capacity sits idle until an elastic grow brings it up.
         let n_active = self.active_pes.unwrap_or(n_pes);
         let location = LocationManager::new_block(n_ranks, n_active);
+        let rank_pes: Vec<PeId> = (0..n_ranks).map(|r| location.lookup(r)).collect();
         // Scope the tracer over instantiation so privatizer startup work
         // (segment copies, GOT fixups) lands in the trace.
         let trace_scope = self
@@ -471,8 +464,8 @@ impl MachineConfig {
             .as_ref()
             .map(|t| pvr_trace::ThreadScope::install(t.clone()));
 
-        // Per-rank instantiation body, shared by the sequential reference
-        // path and the parallel per-process fast path. Captures only
+        // Per-rank instantiation body, shared by the sequential and the
+        // parallel per-process startup (see `instantiate_ranks`). Captures only
         // values that are safe to share across the builder threads.
         let tracer_on = self.tracer.is_some();
         let guards = self.guards;
@@ -552,66 +545,19 @@ impl MachineConfig {
             for _proc in 0..topo.total_processes() {
                 privatizers.push(create_privatizer(method, mk_env(), self.options.clone())?);
             }
-            // Parallel startup (tentpole 3): when every privatizer's
-            // instantiate path is process-local, one builder thread per
-            // simulated OS process performs its ranks' segment copies
-            // concurrently. Rank state is identical to the sequential
-            // path; only wall-clock startup changes.
-            let par_startup = self.perf_fast_paths
-                && topo.total_processes() > 1
-                && privatizers.iter().all(|p| p.parallel_startup_safe());
-            let mut ranks: Vec<RankState> = Vec::with_capacity(n_ranks);
-            if par_startup {
-                let rank_pes: Vec<usize> = (0..n_ranks).map(|r| location.lookup(r)).collect();
-                let results: Vec<Result<Vec<(usize, RankState)>, PrivatizeError>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = privatizers
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(proc, p)| {
-                                let plan: Vec<(usize, usize)> = rank_pes
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|&(_, &pe)| topo.process_of_pe(pe) == proc)
-                                    .map(|(r, &pe)| (r, pe))
-                                    .collect();
-                                let tracer = self.tracer.clone();
-                                let br = SendCell(&build_rank);
-                                s.spawn(move || {
-                                    let _scope =
-                                        tracer.map(pvr_trace::ThreadScope::install);
-                                    let mut out = Vec::with_capacity(plan.len());
-                                    for (r, pe) in plan {
-                                        match (br.0)(p, r, pe) {
-                                            Ok(state) => out.push((r, state)),
-                                            Err(e) => return SendCell(Err(e)),
-                                        }
-                                    }
-                                    SendCell(Ok(out))
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("startup builder thread panicked").0)
-                            .collect()
-                    });
-                // Merge in process order; the first failing process (the
-                // lowest-ranked failure under block placement) surfaces,
-                // matching the sequential path's error.
-                let mut pairs: Vec<(usize, RankState)> = Vec::with_capacity(n_ranks);
-                for res in results {
-                    pairs.extend(res?);
-                }
-                pairs.sort_by_key(|(r, _)| *r);
-                ranks.extend(pairs.into_iter().map(|(_, state)| state));
-            } else {
-                for r in 0..n_ranks {
-                    let pe = location.lookup(r);
-                    let proc = topo.process_of_pe(pe);
-                    ranks.push(build_rank(&mut privatizers[proc], r, pe)?);
-                }
-            }
+            // Parallel startup: when every privatizer's instantiate path
+            // is process-local, one builder thread per simulated OS
+            // process performs its ranks' segment copies concurrently.
+            let parallel =
+                topo.total_processes() > 1 && privatizers.iter().all(|p| p.parallel_startup_safe());
+            let ranks = instantiate_ranks(
+                parallel,
+                &mut privatizers,
+                &rank_pes,
+                topo,
+                self.tracer.as_ref(),
+                &build_rank,
+            )?;
             Ok((privatizers, ranks))
         };
 
@@ -770,11 +716,75 @@ impl MachineConfig {
             last_ran: None,
             parallelism: self.parallelism,
             engine: EngineTallies::default(),
-            perf_fast: self.perf_fast_paths,
             lane_slots: Vec::new(),
             merge_buf: Vec::new(),
         })
     }
+}
+
+/// Instantiate every rank `r` on PE `rank_pes[r]` with its process's
+/// privatizer. `parallel` runs one builder thread per simulated OS
+/// process, each building its own ranks in rank order; otherwise ranks
+/// are built one at a time in rank order. The result is indexed by rank
+/// either way, and the error is that of the lowest failing rank (the
+/// lowest failing process under block placement). Rank state is
+/// identical on both paths — only wall-clock startup differs.
+fn instantiate_ranks<T, F>(
+    parallel: bool,
+    privatizers: &mut [Box<dyn Privatizer>],
+    rank_pes: &[PeId],
+    topo: Topology,
+    tracer: Option<&Arc<Tracer>>,
+    build_rank: &F,
+) -> Result<Vec<T>, PrivatizeError>
+where
+    F: Fn(&mut Box<dyn Privatizer>, usize, PeId) -> Result<T, PrivatizeError> + Sync,
+{
+    if !parallel {
+        return rank_pes
+            .iter()
+            .enumerate()
+            .map(|(r, &pe)| build_rank(&mut privatizers[topo.process_of_pe(pe)], r, pe))
+            .collect();
+    }
+    let results: Vec<Result<Vec<(usize, T)>, PrivatizeError>> = std::thread::scope(|s| {
+        let handles: Vec<_> = privatizers
+            .iter_mut()
+            .enumerate()
+            .map(|(proc, p)| {
+                let plan: Vec<(usize, PeId)> = rank_pes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &pe)| topo.process_of_pe(pe) == proc)
+                    .map(|(r, &pe)| (r, pe))
+                    .collect();
+                let tracer = tracer.cloned();
+                s.spawn(move || {
+                    let _scope = tracer.map(pvr_trace::ThreadScope::install);
+                    let mut out = Vec::with_capacity(plan.len());
+                    for (r, pe) in plan {
+                        match build_rank(p, r, pe) {
+                            Ok(state) => out.push((r, state)),
+                            Err(e) => return SendCell(Err(e)),
+                        }
+                    }
+                    SendCell(Ok(out))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("startup builder thread panicked").0)
+            .collect()
+    });
+    // Merge in process order, then restore rank order: with block
+    // placement the first failing process holds the lowest failing rank.
+    let mut pairs: Vec<(usize, T)> = Vec::with_capacity(rank_pes.len());
+    for res in results {
+        pairs.extend(res?);
+    }
+    pairs.sort_by_key(|(r, _)| *r);
+    Ok(pairs.into_iter().map(|(_, state)| state).collect())
 }
 
 /// Chained-setter facade over [`MachineConfig`]; every method forwards to
@@ -1039,19 +1049,83 @@ impl MachineBuilder {
         self
     }
 
-    /// Hot-path fast paths (bulk epoch extraction, recycled lane state,
-    /// zero-copy corruption injection, memoized startup); defaults to
-    /// on. Off selects the bit-identical reference oracle paths.
-    pub fn perf_fast_paths(mut self, on: bool) -> Self {
-        self.cfg.perf_fast_paths = on;
-        self
-    }
-
     /// Instantiate the job (forwards to [`MachineConfig::build`]).
     pub fn build(
         self,
         body: Arc<dyn Fn(RankCtx) + Send + Sync + 'static>,
     ) -> Result<Machine, ConfigError> {
         self.cfg.build(body)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::segment_checksum_in;
+    use pvr_progimage::{link, FunctionSpec, ImageSpec};
+
+    /// Parallel startup vs the sequential oracle for one multi-process
+    /// PIEglobals job. Ranks are placed round-robin, so each process's
+    /// ranks interleave in rank order and the merge must restore it.
+    /// Compared: the order ranks come back in, every rank's privatized
+    /// data-segment checksum (each rank stamps its id into it), each
+    /// process's simulated startup cost, and the startup trace counts.
+    #[test]
+    fn oracle_parallel_startup_matches_sequential() {
+        let binary = link(
+            ImageSpec::builder("startup")
+                .global("me", 8)
+                .static_var("s", 8)
+                .thread_local("t", 8)
+                .function(FunctionSpec::new("f", 256))
+                .code_padding(4096)
+                .build(),
+        );
+        let topo = Topology::non_smp(3);
+        let n_ranks = 9;
+        let rank_pes: Vec<PeId> = (0..n_ranks).map(|r| r % topo.total_pes()).collect();
+        let run = |parallel: bool| {
+            let tracer = Tracer::new(topo.total_pes());
+            tracer.enable();
+            let _scope = pvr_trace::ThreadScope::install(tracer.clone());
+            let mut privatizers: Vec<Box<dyn Privatizer>> = (0..topo.total_processes())
+                .map(|_| {
+                    let env = PrivatizeEnv::new(binary.clone())
+                        .with_concurrent_processes(topo.total_processes());
+                    create_privatizer(Method::PieGlobals, env, MethodOptions::default()).unwrap()
+                })
+                .collect();
+            assert!(privatizers.iter().all(|p| p.parallel_startup_safe()));
+            let build = |p: &mut Box<dyn Privatizer>, r: usize, _pe: PeId| {
+                let mut mem = RankMemory::new();
+                let inst = p.instantiate_rank(r, &mut mem)?;
+                inst.access("me").write_u64(r as u64 + 1);
+                Ok((inst.rank(), mem))
+            };
+            let ranks = instantiate_ranks(
+                parallel,
+                &mut privatizers,
+                &rank_pes,
+                topo,
+                Some(&tracer),
+                &build,
+            )
+            .unwrap();
+            let order: Vec<usize> = ranks.iter().map(|(r, _)| *r).collect();
+            let checksums: Vec<Option<u64>> = (0..n_ranks)
+                .map(|r| segment_checksum_in(&privatizers, r))
+                .collect();
+            let costs: Vec<_> = privatizers
+                .iter()
+                .map(|p| p.simulated_startup_cost())
+                .collect();
+            drop(ranks);
+            (order, checksums, costs, tracer.counts())
+        };
+        let sequential = run(false);
+        assert_eq!(sequential.0, (0..n_ranks).collect::<Vec<_>>());
+        assert!(sequential.1.iter().all(Option::is_some));
+        assert!(sequential.3.segment_copies > 0);
+        assert_eq!(run(true), sequential);
     }
 }

@@ -156,6 +156,53 @@ mod tests {
         }
     }
 
+    /// The copy-and-flip corruption `corrupt_payload` replaced: copy the
+    /// payload into a fresh buffer and flip the middle byte's low bit,
+    /// or flip a checksum bit when there is no payload.
+    fn corrupt_by_copy(msg: &mut RtsMessage) {
+        if msg.payload.is_empty() {
+            msg.checksum ^= 1;
+        } else {
+            let mut bytes = msg.payload.as_ref().to_vec();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x01;
+            msg.payload = Bytes::from(bytes);
+        }
+    }
+
+    /// In-place corruption vs the copy-and-flip oracle for empty, inline
+    /// and spilled payloads: both must fail `intact()`, leave the header
+    /// and wire size alone, and leave the sender's retained copy intact.
+    #[test]
+    fn oracle_corrupt_payload_matches_copy_and_flip() {
+        for n in [0usize, 1, 2, 7, 8, 63, 64, 65, 128, 4096] {
+            let payload: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
+            let mut sent = RtsMessage::new(3, 5, 0xfeed, Bytes::from(payload.clone()));
+            sent.seq = 17;
+            sent.seal();
+            let mut fast = sent.clone();
+            fast.corrupt_payload();
+            let mut oracle = sent.clone();
+            corrupt_by_copy(&mut oracle);
+            let header = |m: &RtsMessage| (m.from, m.to, m.tag, m.seq, m.payload.len());
+            for (path, m) in [("corrupt_payload", &fast), ("copy-and-flip", &oracle)] {
+                assert!(!m.intact(), "{path}, {n} B: corruption went undetected");
+                assert_eq!(header(m), header(&sent), "{path}, {n} B: header changed");
+                assert_eq!(
+                    m.wire_bytes(),
+                    sent.wire_bytes(),
+                    "{path}, {n} B: wire size"
+                );
+            }
+            assert!(sent.intact(), "{n} B: the sender's copy was damaged");
+            assert_eq!(
+                sent.payload.as_ref(),
+                &payload[..],
+                "{n} B: sender bytes changed"
+            );
+        }
+    }
+
     #[test]
     fn corrupt_payload_never_allocates_and_always_detected() {
         // Inline payload: real bit flip in place.

@@ -269,6 +269,17 @@ pub(crate) struct Lane {
     pub out: Outbox,
 }
 
+impl Lane {
+    /// Hand back this lane's (drained) queue and its reset outbox for
+    /// reuse by the same PE's lane in a later epoch. The caller must
+    /// already have taken `state` and any unprocessed events.
+    pub fn recycle(self) -> (EventQueue<Event>, Outbox) {
+        let Lane { queue, mut out, .. } = self;
+        out.reset();
+        (queue, out)
+    }
+}
+
 /// Memory-safety guard context — serial-only (guards force one thread),
 /// so it can hold plain `&mut` state across all lanes.
 pub(crate) struct GuardCtx<'g> {
@@ -293,9 +304,6 @@ pub(crate) struct EngineShared<'e> {
     /// Request-table size cap per rank (open entries, pending or
     /// unreaped); exceeding it is a protocol error.
     pub max_outstanding_reqs: usize,
-    /// Hot-path fast paths enabled (zero-copy corruption injection);
-    /// off = reference oracle behavior, bit-identical results.
-    pub perf_fast: bool,
 }
 
 /// The execution context a worker drives: shared machine state plus the
@@ -314,27 +322,6 @@ pub(crate) struct ExecCtx<'a, 'e, 'g> {
 /// Answer a rank's pending command.
 fn respond(rs: &RankState, resp: Response) {
     rs.slot.lock().resp = Some(resp);
-}
-
-/// Flip one payload bit (or a checksum bit for empty payloads) — the
-/// receiver's integrity check is what detects this.
-///
-/// `fast` selects [`RtsMessage::corrupt_payload`], which never
-/// allocates; the reference path keeps the historical full-payload copy
-/// as the oracle. Both fail `intact()` identically, and a corrupted
-/// copy's payload bytes are never otherwise observed, so the two are
-/// bit-identical at the run level.
-fn corrupt_in_flight(msg: &mut RtsMessage, fast: bool) {
-    if fast {
-        msg.corrupt_payload();
-    } else if msg.payload.is_empty() {
-        msg.checksum ^= 1;
-    } else {
-        let mut bytes = msg.payload.as_ref().to_vec();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        msg.payload = bytes::Bytes::from(bytes);
-    }
 }
 
 impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
@@ -506,7 +493,7 @@ impl<'a, 'e, 'g> ExecCtx<'a, 'e, 'g> {
             // never copies a heap buffer.
             let mut copy = msg.clone();
             if d.corrupt {
-                corrupt_in_flight(&mut copy, self.shared.perf_fast);
+                copy.corrupt_payload();
             }
             let at = (t_send + cost + d.jitter).max_of(self.lanes[self.li].queue.now());
             self.emit(
@@ -1334,4 +1321,131 @@ pub(crate) fn real_sweep(ctx: &mut ExecCtx<'_, '_, '_>) -> Result<u32, RtsError>
         }
     }
     Ok(ran)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+
+    /// Every observable field of an outbox, in comparable form.
+    fn outbox_state(o: &Outbox) -> String {
+        let events: Vec<(SimTime, PeId)> = o
+            .events
+            .iter()
+            .map(|(t, ev)| match ev {
+                Event::PeWake { pe } => (*t, *pe),
+                _ => unreachable!("the test emits only wakes"),
+            })
+            .collect();
+        let exhausted: Vec<_> = o
+            .exhausted
+            .iter()
+            .map(|e| (e.at, e.from, e.to, e.seq, e.attempts))
+            .collect();
+        let unrouted: Vec<_> = o.unrouted.iter().map(|m| (m.from, m.to, m.tag)).collect();
+        format!(
+            "{:?}",
+            (
+                (
+                    events,
+                    o.switches,
+                    o.delivered,
+                    o.done,
+                    o.at_sync,
+                    &o.comm_bytes
+                ),
+                (
+                    o.forwards,
+                    o.faults,
+                    o.hardening,
+                    o.req,
+                    exhausted,
+                    unrouted
+                ),
+                (&o.error, o.last_ran, o.pool_hits, o.pool_misses),
+            )
+        )
+    }
+
+    /// Lane recycling vs fresh lane state: a queue drained at one
+    /// epoch's horizon and an outbox that a busy epoch filled, handed
+    /// back by [`Lane::recycle`], must behave exactly like a new queue
+    /// and a new outbox for the next epoch's events (all at or after
+    /// the old horizon, with same-time ties).
+    #[test]
+    fn oracle_recycled_lane_state_matches_fresh() {
+        let horizon = SimTime(100);
+        let mut queue = EventQueue::new();
+        for pe in 0..40usize {
+            queue.schedule(SimTime((pe as u64 * 37) % 100), Event::PeWake { pe });
+        }
+        let mut drained = Vec::new();
+        queue.drain_until(horizon, &mut drained);
+        assert_eq!(drained.len(), 40);
+
+        let mut out = Outbox::with_capacity(4);
+        out.events.push((SimTime(120), Event::PeWake { pe: 1 }));
+        out.switches = 3;
+        out.delivered = 4;
+        out.done = 1;
+        out.at_sync = 2;
+        out.comm_bytes.insert((0, 1), 64);
+        out.forwards = 5;
+        out.faults.msgs_dropped = 6;
+        out.hardening.fallbacks = 1;
+        out.req.send_posts = 7;
+        out.exhausted.push(Exhausted {
+            at: SimTime(90),
+            from: 0,
+            to: 1,
+            seq: 2,
+            attempts: 10,
+        });
+        out.unrouted.push(RtsMessage::new(0, 1, 9, Bytes::new()));
+        out.error = Some((SimTime(95), 0, RtsError::Deadlock { waiting: vec![1] }));
+        out.last_ran = Some(1);
+        out.pool_hits = 8;
+        out.pool_misses = 9;
+        let fresh_out = Outbox::default();
+        assert_ne!(outbox_state(&out), outbox_state(&fresh_out));
+
+        let lane = Lane {
+            pe: 0,
+            state: PeState::default(),
+            queue,
+            horizon,
+            out,
+        };
+        let (mut queue, out) = lane.recycle();
+        assert_eq!(outbox_state(&out), outbox_state(&fresh_out));
+        assert!(
+            out.events.capacity() >= 4,
+            "recycling keeps the event buffer"
+        );
+
+        let mut fresh = EventQueue::new();
+        let next = [
+            (100u64, 0usize),
+            (130, 1),
+            (100, 2),
+            (115, 3),
+            (100, 4),
+            (130, 5),
+        ];
+        for &(t, pe) in &next {
+            queue.schedule(SimTime(t), Event::PeWake { pe });
+            fresh.schedule(SimTime(t), Event::PeWake { pe });
+        }
+        let order = |q: &mut EventQueue<Event>| -> Vec<(SimTime, PeId)> {
+            std::iter::from_fn(|| q.pop())
+                .map(|(t, ev)| match ev {
+                    Event::PeWake { pe } => (t, pe),
+                    _ => unreachable!("the test schedules only wakes"),
+                })
+                .collect()
+        };
+        assert_eq!(order(&mut queue), order(&mut fresh));
+        assert_eq!(queue.now(), fresh.now());
+    }
 }

@@ -41,17 +41,11 @@ else
     echo "==> engine-scaling smoke skipped ($cores core(s): no real parallelism available)"
 fi
 
-echo "==> perf-smoke (fast-path baseline must produce BENCH_perf.json)"
-cargo run --release -q -p pvr-bench --bin repro -- perf --quick
-[ -s BENCH_perf.json ] || {
-    echo "FAIL: repro -- perf did not write BENCH_perf.json"
-    exit 1
-}
-# Bit-identity of fast vs reference paths is gated separately by
-# tests/perf_equivalence.rs in the workspace test sweeps above.
-
-echo "==> fast-path equivalence gate (perf_fast_paths on == off, bit-identical)"
-cargo test -q -p pvr-bench --test perf_equivalence
+echo "==> oracle gate (every production fast path == its test-only reference oracle)"
+# Each hot-path optimisation has one production path; its replaced
+# reference implementation lives on as a test oracle in the same crate,
+# in a test named oracle_*.
+cargo test -q --workspace oracle_
 
 echo "==> cow-smoke (COWglobals dedup sweep: read-mostly must share pages)"
 out=$(cargo run --release -q -p pvr-bench --bin repro -- cow --quick)
@@ -89,6 +83,11 @@ awk -v r="$ratio" 'BEGIN { exit !(r + 0 >= 5.0) }' || {
 echo "==> incremental-ckpt determinism gate (delta chain, Serial == Threads(n))"
 PVR_THREADS=1 cargo test -q -p pvr-bench --test incremental_ckpt
 PVR_THREADS=4 cargo test -q -p pvr-bench --test incremental_ckpt
+
+echo "==> incremental-ckpt repeat gate (5 runs: delta sizes must not depend on host addresses)"
+for i in 1 2 3 4 5; do
+    cargo test -q -p pvr-bench --test incremental_ckpt
+done
 
 echo "==> overlap-smoke (Isend/Irecv halo must beat blocking by >= 1.3x)"
 out=$(cargo run --release -q -p pvr-bench --bin repro -- overlap --quick)
